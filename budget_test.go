@@ -52,8 +52,8 @@ func TestMemoryBudgetRejects(t *testing.T) {
 				}
 			}
 
-			// An engine-wide budget governs Prepare (and would govern every
-			// later patch through the same engine).
+			// An engine-wide budget governs Prepare; it governs every later
+			// patch through the same engine too (TestMemoryBudgetGovernsPatches).
 			tight := cfpq.NewEngine(be, cfpq.WithMemoryBudget(tiny))
 			if _, err := tight.Prepare(ctx, g.Clone(), gram); !errors.As(err, &mbe) {
 				t.Fatalf("Prepare under engine budget: %v, want *MemoryBudgetError", err)
@@ -70,6 +70,102 @@ func TestMemoryBudgetRejects(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestMemoryBudgetGovernsPatches asserts an engine-wide budget governs
+// incremental patches, not just builds. Closing a 200-node a-cycle through
+// AddEdges holds the semi-naive working set (index, Δ and the next
+// frontier), more than a from-scratch build of the same graph holds, so a
+// budget of exactly the build's peak must stop the patch with a
+// *MemoryBudgetError. The handle is then marked for repair: the next
+// AddEdges rebuilds within the budget and reports exactly the pairs the
+// failed patch did not land, so every pair arrives once.
+func TestMemoryBudgetGovernsPatches(t *testing.T) {
+	ctx := context.Background()
+	const n = 200
+	gram := cfpq.MustParseGrammar("S -> a S | a")
+	cnf, err := cfpq.ToCNF(gram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := cfpq.NewGraph(n)
+	cycle := make([]cfpq.Edge, n)
+	for i := range cycle {
+		cycle[i] = cfpq.Edge{From: i, Label: "a", To: (i + 1) % n}
+		closed.AddEdge(i, "a", (i+1)%n)
+	}
+
+	for _, be := range cfpq.Backends() {
+		t.Run(be.Name(), func(t *testing.T) {
+			want, build, err := cfpq.NewEngine(be).Evaluate(ctx, closed, cnf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := cfpq.NewEngine(be, cfpq.WithMemoryBudget(build.PeakBytes)).Prepare(ctx, cfpq.NewGraph(n), gram)
+			if err != nil {
+				t.Fatalf("Prepare of the edgeless graph under %d bytes: %v", build.PeakBytes, err)
+			}
+
+			failed, err := p.AddEdges(ctx, cycle...)
+			var mbe *cfpq.MemoryBudgetError
+			if !errors.As(err, &mbe) {
+				t.Fatalf("AddEdges under %d bytes: %v (peak %d), want *MemoryBudgetError",
+					build.PeakBytes, err, failed.Stats.PeakBytes)
+			}
+			// The index started empty, so what the failed patch reports is
+			// exactly what the handle now holds.
+			for _, nt := range cnf.Names {
+				if got, held := failed.Delta.Pairs(nt), p.Relation(ctx, nt); !samePairs(got, held) {
+					t.Fatalf("R_%s: failed patch reported %d pairs, handle holds %d", nt, len(got), len(held))
+				}
+			}
+
+			// An empty batch on a clean handle is a no-op; on this one it
+			// is the repair.
+			repair, err := p.AddEdges(ctx)
+			if err != nil {
+				t.Fatalf("repair within the budget: %v", err)
+			}
+			if repair.Stats.Products == 0 {
+				t.Fatal("empty AddEdges after a budget failure ran no closure: handle not marked for repair")
+			}
+			for _, nt := range cnf.Names {
+				seen := map[cfpq.Pair]int{}
+				for _, pr := range failed.Delta.Pairs(nt) {
+					seen[pr]++
+				}
+				for _, pr := range repair.Delta.Pairs(nt) {
+					seen[pr]++
+				}
+				full := want.Relation(nt)
+				if len(seen) != len(full) {
+					t.Fatalf("R_%s: failed patch and repair delivered %d distinct pairs, closure has %d", nt, len(seen), len(full))
+				}
+				for _, pr := range full {
+					if seen[pr] != 1 {
+						t.Fatalf("R_%s: pair %v delivered %d times, want once", nt, pr, seen[pr])
+					}
+				}
+				if !samePairs(p.Relation(ctx, nt), full) {
+					t.Fatalf("R_%s after repair disagrees with a cold closure", nt)
+				}
+			}
+		})
+	}
+}
+
+// samePairs reports whether two row-major pair lists are equal, treating
+// nil and empty alike.
+func samePairs(a, b []cfpq.Pair) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // TestDoBoundsErrorsStructured pins satellite 3: out-of-range restriction

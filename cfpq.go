@@ -181,9 +181,10 @@ type MemoryBudgetError = core.MemoryBudgetError
 // *MemoryBudgetError before the offending allocation instead of running
 // the process out of memory. bytes ≤ 0 means unlimited (the default).
 // Pass it to NewEngine to govern every evaluation — including Prepare's
-// index build — or per call to bound a single one. The estimate covers
-// the index matrices plus schedule-dependent working copies; transient
-// kernel scratch is not counted.
+// index build and every Prepared.AddEdges patch — or per call to bound a
+// single one. The estimate covers the index matrices plus
+// schedule-dependent working copies; transient kernel scratch is not
+// counted.
 func WithMemoryBudget(bytes int64) Option {
 	return func(c *config) { c.engineOpts = append(c.engineOpts, core.WithMemoryBudget(bytes)) }
 }

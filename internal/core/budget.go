@@ -30,7 +30,7 @@ func (e *MemoryBudgetError) Error() string {
 // passes, and a breach aborts the evaluation with a *MemoryBudgetError.
 // bytes ≤ 0 means unlimited (the default). The budget is enforced on the
 // context-taking evaluation paths (RunContext, CloseContext,
-// RunFromContext and everything built on them).
+// RunFromContext, UpdateContext and everything built on them).
 func WithMemoryBudget(bytes int64) Option {
 	return func(e *Engine) { e.budget = bytes }
 }

@@ -13,7 +13,9 @@
 //	T_A |= T_B × T_C
 //
 // Engine is parameterised by a matrix.Backend, giving the paper's four
-// implementations (dense/sparse × serial/parallel); see DESIGN.md.
+// implementations (dense/sparse × serial/parallel); the README section
+// "Benchmarking at scale" compares them. Every closure schedule runs
+// through one fixpoint driver (fixpoint.go).
 package core
 
 import (
@@ -109,11 +111,7 @@ func (ix *Index) Counts() map[string]int {
 
 // Clone returns a deep copy of the index.
 func (ix *Index) Clone() *Index {
-	cp := &Index{cnf: ix.cnf, n: ix.n, backend: ix.backend, mats: make([]matrix.Bool, len(ix.mats))}
-	for i, m := range ix.mats {
-		cp.mats[i] = m.Clone()
-	}
-	return cp
+	return &Index{cnf: ix.cnf, n: ix.n, backend: ix.backend, mats: cloneMats(ix.mats)}
 }
 
 // Equal reports whether two indexes (over the same grammar) hold identical
@@ -206,6 +204,16 @@ func WithNaiveIteration() Option {
 	return func(e *Engine) { e.naive = true }
 }
 
+// WithDeltaIteration selects the semi-naive closure schedule, the paper's
+// Section 7 direction of "asymptotically more efficient transitive
+// closure" algorithms: instead of re-multiplying full matrices every pass,
+// each pass multiplies only the frontier Δ (the bits the previous pass
+// added) against the full matrices (see semiNaive). Mutually exclusive
+// with WithNaiveIteration (the engine panics if both are set).
+func WithDeltaIteration() Option {
+	return func(e *Engine) { e.delta = true }
+}
+
 // WithTrace installs a callback invoked with the index state after matrix
 // initialisation (iteration 0) and after every fixpoint pass. The callback
 // must not retain or mutate the index.
@@ -231,10 +239,7 @@ func (e *Engine) Backend() matrix.Backend { return e.backend }
 // contribute the union of their head non-terminals.
 func (e *Engine) Init(g *graph.Graph, cnf *grammar.CNF) *Index {
 	n := g.Nodes()
-	ix := &Index{cnf: cnf, n: n, backend: e.backend, mats: make([]matrix.Bool, cnf.NonterminalCount())}
-	for a := range ix.mats {
-		ix.mats[a] = e.backend.NewMatrix(n)
-	}
+	ix := &Index{cnf: cnf, n: n, backend: e.backend, mats: newMats(e.backend, cnf.NonterminalCount(), n)}
 	for t, as := range cnf.TermRules {
 		for _, edge := range g.EdgesWithLabel(t) {
 			for _, a := range as {
@@ -282,7 +287,7 @@ func (e *Engine) closePhase() string {
 // closeTraced is CloseContext under an already-resolved pass tracer, so a
 // schedule taking over mid-evaluation (frontier saturation fallback) keeps
 // one event chain. pt may be nil (tracing disabled).
-func (e *Engine) closeTraced(ctx context.Context, ix *Index, pt *passTracer) (stats Stats, err error) {
+func (e *Engine) closeTraced(ctx context.Context, ix *Index, pt *passTracer) (Stats, error) {
 	pt.setPhase(e.closePhase())
 	if !pt.started() {
 		// The entry state is this evaluation's seeding step: CloseContext
@@ -290,60 +295,38 @@ func (e *Engine) closeTraced(ctx context.Context, ix *Index, pt *passTracer) (st
 		pt.beginPass()
 		pt.endPass(0, 0)
 	}
-	if e.delta {
-		return e.closeDelta(ctx, ix, pt)
-	}
 	start := time.Now()
-	defer func() {
-		stats.Duration = time.Since(start)
-		stats.observePeak(ix.Bytes())
-	}()
 	if e.trace != nil {
 		e.trace(0, ix)
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return stats, err
-		}
-		est := ix.Bytes()
-		if e.naive {
-			est *= 2 // snapshot semantics clone every matrix
-		}
-		stats.observePeak(est)
-		if err := e.checkBudget(est); err != nil {
-			return stats, err
-		}
-		stats.Iterations++
-		pt.beginPass()
-		changed := false
-		if e.naive {
-			// Snapshot semantics: all products read the previous state.
-			prev := make([]matrix.Bool, len(ix.mats))
-			for i, m := range ix.mats {
-				prev[i] = m.Clone()
-			}
-			for _, r := range ix.cnf.Binary {
-				stats.Products++
-				if ix.mats[r.A].AddMul(prev[r.B], prev[r.C]) {
-					changed = true
-				}
-			}
-		} else {
-			for _, r := range ix.cnf.Binary {
-				stats.Products++
-				if ix.mats[r.A].AddMul(ix.mats[r.B], ix.mats[r.C]) {
-					changed = true
-				}
-			}
-		}
-		pt.endPass(len(ix.cnf.Binary), 0)
-		if e.trace != nil {
-			e.trace(stats.Iterations, ix)
-		}
-		if !changed {
-			return stats, nil
+	s := schedule{bytes: ix.Bytes, trace: e.trace}
+	switch {
+	case e.delta:
+		// The first Δ is the whole initialised index.
+		sn := &semiNaive{ix: ix, be: e.backend, delta: cloneMats(ix.mats)}
+		s.bytes, s.pass = sn.bytes, sn.step
+	case e.naive:
+		// Snapshot semantics: every product of a pass reads a clone of the
+		// previous pass's state.
+		s.bytes = func() int64 { return 2 * ix.Bytes() }
+		s.pass = func() (int, int, bool) { return ix.addProducts(cloneMats(ix.mats)) }
+	default:
+		s.pass = func() (int, int, bool) { return ix.addProducts(ix.mats) }
+	}
+	stats, err := e.fixpoint(ctx, ix, pt, s)
+	stats.Duration = time.Since(start)
+	return stats, err
+}
+
+// addProducts runs T_A |= src_B × src_C for every A → B C, the pass of the
+// in-place (src = the index itself) and naive schedules.
+func (ix *Index) addProducts(src []matrix.Bool) (products, frontier int, changed bool) {
+	for _, r := range ix.cnf.Binary {
+		if ix.mats[r.A].AddMul(src[r.B], src[r.C]) {
+			changed = true
 		}
 	}
+	return len(ix.cnf.Binary), 0, changed
 }
 
 // Run evaluates the query end to end: Init then Close.

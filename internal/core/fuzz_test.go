@@ -13,6 +13,8 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -24,15 +26,19 @@ import (
 )
 
 // FuzzClosureAgreement derives a random graph and a random CNF grammar
-// from the fuzzed seed and checks that all four matrix backends compute
-// exactly the relations of the Hellings worklist oracle — and that the
-// incremental update path (closing a partial graph, then feeding the rest
-// through Update) reaches the same fixpoint.
+// from the fuzzed seed and checks, on all four matrix backends, that every
+// closure schedule agrees with the Hellings worklist oracle: the in-place,
+// naive and semi-naive closures compute exactly its relations; the
+// source-restricted closure, from the sources the fuzzed mask selects,
+// computes exactly its source rows; and the incremental update path
+// (closing a partial graph, then feeding the rest through Update) reaches
+// the same fixpoint as the cold closure.
 func FuzzClosureAgreement(f *testing.F) {
-	f.Add(int64(1), uint8(5), uint8(12), uint8(10))
-	f.Add(int64(42), uint8(9), uint8(30), uint8(14))
-	f.Add(int64(7), uint8(2), uint8(3), uint8(6))
-	f.Fuzz(func(t *testing.T, seed int64, nodes, edges, prods uint8) {
+	f.Add(int64(1), uint8(5), uint8(12), uint8(10), uint16(0x1))
+	f.Add(int64(42), uint8(9), uint8(30), uint8(14), uint16(0x5a))
+	f.Add(int64(7), uint8(2), uint8(3), uint8(6), uint16(0xffff))
+	f.Add(int64(3), uint8(11), uint8(25), uint8(9), uint16(0))
+	f.Fuzz(func(t *testing.T, seed int64, nodes, edges, prods uint8, sourceMask uint16) {
 		n := 2 + int(nodes)%12
 		e := int(edges) % 40
 		np := 1 + int(prods)%16
@@ -57,19 +63,54 @@ func FuzzClosureAgreement(f *testing.F) {
 		}
 		g := graph.Random(rng, n, e, terms)
 		oracle := baseline.Hellings(g, cnf)
-		for _, be := range matrix.Backends() {
-			ix, _ := NewEngine(WithBackend(be)).Run(g, cnf)
+		sources := []int{}
+		inSources := make([]bool, n)
+		for v := 0; v < n; v++ {
+			if sourceMask&(1<<v) != 0 {
+				sources = append(sources, v)
+				inSources[v] = true
+			}
+		}
+		// agree checks ix against the oracle, on the rows keep selects.
+		agree := func(mode string, be matrix.Backend, ix *Index, keep func(row int) bool) {
+			t.Helper()
 			for a := 0; a < cnf.NonterminalCount(); a++ {
 				nt := cnf.Names[a]
-				got, want := ix.Relation(nt), oracle[nt]
-				if len(got) == 0 && len(want) == 0 {
-					continue
+				var got, want []matrix.Pair
+				for _, p := range ix.Relation(nt) {
+					if keep(p.I) {
+						got = append(got, p)
+					}
+				}
+				for _, p := range oracle[nt] {
+					if keep(p.I) {
+						want = append(want, p)
+					}
 				}
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("backend %s: R_%s = %v, want %v\ngrammar:\n%s",
-						be.Name(), nt, got, want, gram)
+					t.Fatalf("%s on %s: R_%s = %v, want %v\ngrammar:\n%s", mode, be.Name(), nt, got, want, gram)
 				}
 			}
+		}
+		allRows := func(int) bool { return true }
+		ctx := context.Background()
+		for _, be := range matrix.Backends() {
+			for mode, opts := range map[string][]Option{
+				"in-place": nil,
+				"naive":    {WithNaiveIteration()},
+				"delta":    {WithDeltaIteration()},
+			} {
+				ix, _, err := NewEngine(append(opts, WithBackend(be))...).RunContext(ctx, g, cnf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				agree(mode, be, ix, allRows)
+			}
+			ix, _, err := NewEngine(WithBackend(be)).RunFromContext(ctx, g, cnf, sources)
+			if err != nil {
+				t.Fatal(err)
+			}
+			agree(fmt.Sprintf("frontier from %v", sources), be, ix, func(row int) bool { return inSources[row] })
 		}
 		// Incremental path: close the graph minus its last edge, patch the
 		// edge back in, compare against the full closure.
@@ -81,12 +122,13 @@ func FuzzClosureAgreement(f *testing.F) {
 		for _, ed := range all[:len(all)-1] {
 			partial.AddEdge(ed.From, ed.Label, ed.To)
 		}
-		eng := NewEngine()
-		ix, _ := eng.Run(partial, cnf)
-		eng.Update(ix, all[len(all)-1])
-		want, _ := NewEngine().Run(g, cnf)
-		if !ix.Equal(want) {
-			t.Fatalf("incremental update disagrees with cold closure\ngrammar:\n%s", gram)
+		for _, be := range matrix.Backends() {
+			eng := NewEngine(WithBackend(be))
+			ix, _ := eng.Run(partial, cnf)
+			if _, _, err := eng.UpdateContext(ctx, ix, all[len(all)-1]); err != nil {
+				t.Fatal(err)
+			}
+			agree("update", be, ix, allRows)
 		}
 	})
 }

@@ -118,17 +118,18 @@ func (e *Engine) Update(ix *Index, edges ...graph.Edge) Stats {
 	return stats
 }
 
-// UpdateContext is Update with cooperative cancellation between delta
-// passes, and it additionally returns the update's Delta: the union of
-// every newly derived pair — seed bits plus each propagation pass — which
-// is exactly what a live-query subscriber must be pushed. On cancellation
-// the index is sound (every bit justified) but the consequences of the new
+// UpdateContext is Update with cooperative cancellation and the engine's
+// memory budget enforced between delta passes, and it additionally returns
+// the update's Delta: the union of every newly derived pair — seed bits
+// plus each propagation pass — which is exactly what a live-query
+// subscriber must be pushed. On cancellation or a budget breach the index
+// is sound (every bit justified) but the consequences of the new
 // edges may be only partially propagated; the returned Delta then covers
 // precisely the bits that did land in the index, so publishing it and later
 // publishing the repair's NewlyDerived delta delivers every pair exactly
 // once. Callers that must not serve a partially propagated state should
 // rebuild.
-func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Edge) (stats Stats, _ *Delta, _ error) {
+func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Edge) (stats Stats, _ *Delta, err error) {
 	start := time.Now()
 	defer func() { stats.Duration = time.Since(start) }()
 	be := ix.backend
@@ -147,23 +148,18 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 	if maxNode >= ix.n {
 		ix.Grow(maxNode + 1)
 	}
-	n := ix.n
-	nn := len(ix.mats)
 	acc := newDelta(ix)
 	// The update's event chain starts from the pre-update index, so its
 	// per-pass deltas telescope to exactly the bits this update added.
 	pt := e.newPassTracer(ctx, "update", ix)
 	pt.snapshot()
-	delta := make([]matrix.Bool, nn)
-	for a := range delta {
-		delta[a] = be.NewMatrix(n)
-	}
+	sn := &semiNaive{ix: ix, be: be, delta: newMats(be, len(ix.mats), ix.n)}
 	pt.beginPass()
 	seeded := false
 	for _, edge := range edges {
 		for _, a := range ix.cnf.TermRules[edge.Label] {
 			if !ix.mats[a].Get(edge.From, edge.To) {
-				delta[a].Set(edge.From, edge.To)
+				sn.delta[a].Set(edge.From, edge.To)
 				ix.mats[a].Set(edge.From, edge.To)
 				seeded = true
 			}
@@ -173,47 +169,21 @@ func (e *Engine) UpdateContext(ctx context.Context, ix *Index, edges ...graph.Ed
 		return stats, acc, nil
 	}
 	pt.endPass(0, 0)
-	for a := range delta {
+	for a, m := range sn.delta {
 		// The seed matrices are consumed by the first pass's products and
 		// never reassigned, so the accumulator can adopt them in place.
-		acc.or(a, delta[a])
+		acc.or(a, m)
 	}
-	for {
-		if err := ctx.Err(); err != nil {
-			return stats, acc, err
+	stats, err = e.fixpoint(ctx, ix, pt, schedule{bytes: sn.bytes, pass: func() (int, int, bool) {
+		products, _, changed := sn.step()
+		for a, m := range sn.delta {
+			// Fold this pass's genuinely new bits into the returned delta.
+			// Or copies out of Δ, so the matrices feeding the next pass's
+			// products are not aliased by the accumulator — except for
+			// adopted all-new slots, which the next pass only reads.
+			acc.or(a, m)
 		}
-		stats.observePeak(ix.Bytes() + matsBytes(delta) + int64(nn)*be.EmptyBytes(n))
-		stats.Iterations++
-		pt.beginPass()
-		next := make([]matrix.Bool, nn)
-		for a := range next {
-			next[a] = be.NewMatrix(n)
-		}
-		for _, r := range ix.cnf.Binary {
-			stats.Products += 2
-			next[r.A].AddMul(delta[r.B], ix.mats[r.C])
-			next[r.A].AddMul(ix.mats[r.B], delta[r.C])
-		}
-		changed := false
-		for a := range next {
-			next[a].AndNot(ix.mats[a])
-			if next[a].Nnz() > 0 {
-				ix.mats[a].Or(next[a])
-				changed = true
-			}
-		}
-		delta = next
-		pt.endPass(2*len(ix.cnf.Binary), 0)
-		if !changed {
-			return stats, acc, nil
-		}
-		for a := range next {
-			// Fold this pass's genuinely-new bits into the returned delta.
-			// Or copies out of next, so the frontier matrices feeding the
-			// next pass's products are not aliased by the accumulator —
-			// except for adopted all-new slots, which the next pass only
-			// reads.
-			acc.or(a, next[a])
-		}
-	}
+		return products, 0, changed
+	}})
+	return stats, acc, err
 }

@@ -75,10 +75,7 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 	}
 	start := time.Now()
 	defer func() { fs.Duration = time.Since(start) }()
-	ix := &Index{cnf: cnf, n: n, backend: e.backend, mats: make([]matrix.Bool, nn)}
-	for a := range ix.mats {
-		ix.mats[a] = e.backend.NewMatrix(n)
-	}
+	ix := &Index{cnf: cnf, n: n, backend: e.backend, mats: newMats(e.backend, nn, n)}
 	fs.observePeak(2 * ix.Bytes())
 	if len(sources) == 0 || n == 0 {
 		return ix, fs, nil
@@ -100,6 +97,7 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 	}
 
 	active := make([]bool, n)
+	sn := &semiNaive{ix: ix, be: e.backend, delta: newMats(e.backend, nn, n), rows: active}
 	count := 0
 	var queue []int // activated rows waiting to be seeded
 	activate := func(j int) {
@@ -109,10 +107,10 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 			queue = append(queue, j)
 		}
 	}
-	// drain seeds every queued row into the index and into delta (the
-	// seeded bits are new, so they must multiply next pass), activating
-	// the columns they name — which can queue further rows.
-	drain := func(delta []matrix.Bool) {
+	// drain seeds every queued row into the index and into Δ (the seeded
+	// bits are new, so they must multiply next pass), activating the
+	// columns they name — which can queue further rows.
+	drain := func() {
 		for len(queue) > 0 {
 			i := queue[len(queue)-1]
 			queue = queue[:len(queue)-1]
@@ -120,100 +118,65 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 				for _, a := range sd.as {
 					if !ix.mats[a].Get(i, sd.to) {
 						ix.mats[a].Set(i, sd.to)
-						delta[a].Set(i, sd.to)
+						sn.delta[a].Set(i, sd.to)
 					}
 				}
 				activate(sd.to)
 			}
 		}
 	}
-	// fallback activates and seeds every remaining row and finishes with
-	// the plain all-pairs closure from the current (sound) state. The pass
-	// tracer is handed through, so the event chain continues across the
-	// schedule switch (the fallback's seeding rows are one more "frontier"
-	// event, then events carry the all-pairs phase).
-	fallback := func(delta []matrix.Bool) (*Index, FromStats, error) {
-		pt.beginPass()
-		for i := 0; i < n; i++ {
-			activate(i)
-		}
-		drain(delta)
-		pt.endPass(0, count)
-		fs.Frontier = n
-		fs.Saturated = true
-		st, err := e.closeTraced(ctx, ix, pt)
-		fs.Stats.Add(st)
-		if err != nil {
-			return nil, fs, err
-		}
-		return ix, fs, nil
-	}
 	saturated := func() bool { return count*saturationDen > n*saturationNum }
 
-	delta := make([]matrix.Bool, nn)
-	for a := range delta {
-		delta[a] = e.backend.NewMatrix(n)
-	}
 	pt.beginPass()
 	for _, s := range sources {
 		activate(s)
 	}
-	drain(delta)
+	drain()
 	pt.endPass(0, count)
-	if saturated() {
-		return fallback(delta)
-	}
-
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, fs, err
-		}
-		est := ix.Bytes() + matsBytes(delta) + int64(nn)*e.backend.EmptyBytes(n)
-		fs.observePeak(est)
-		if err := e.checkBudget(est); err != nil {
-			return nil, fs, err
-		}
-		empty := true
-		for a := range delta {
-			if delta[a].Nnz() > 0 {
-				empty = false
-				break
+	if !saturated() {
+		st, err := e.fixpoint(ctx, ix, pt, schedule{bytes: sn.bytes, idle: sn.empty, pass: func() (int, int, bool) {
+			products, _, _ := sn.step()
+			for _, m := range sn.delta {
+				// Activate the columns of the new bits: those nodes head
+				// derivation fragments later products read rows of.
+				m.Range(func(_, j int) bool {
+					activate(j)
+					return true
+				})
 			}
+			// Seed the rows those columns activated; seeded bits join Δ so
+			// they multiply in the coming pass.
+			drain()
+			return products, count, !saturated()
+		}})
+		fs.Stats.Add(st)
+		if err != nil {
+			return nil, fs, err
 		}
-		if empty {
+		if !saturated() {
 			fs.Frontier = count
 			return ix, fs, nil
 		}
-		fs.Iterations++
-		pt.beginPass()
-		next := make([]matrix.Bool, nn)
-		for a := range next {
-			next[a] = e.backend.NewMatrix(n)
-		}
-		for _, r := range ix.cnf.Binary {
-			fs.Products += 2
-			next[r.A].AddMulRows(delta[r.B], ix.mats[r.C], active)
-			next[r.A].AddMulRows(ix.mats[r.B], delta[r.C], active)
-		}
-		for a := range next {
-			next[a].AndNot(ix.mats[a]) // keep only genuinely new bits
-			ix.mats[a].Or(next[a])
-			// Activate the columns of the new bits: those nodes head
-			// derivation fragments later products read rows of.
-			next[a].Range(func(i, j int) bool {
-				activate(j)
-				return true
-			})
-		}
-		// Seed the rows those columns activated; seeded bits join next so
-		// they multiply in the coming pass.
-		drain(next)
-		pt.endPass(2*len(ix.cnf.Binary), count)
-		if saturated() {
-			return fallback(next)
-		}
-		delta = next
 	}
+
+	// Saturated: activate and seed every remaining row and finish with the
+	// plain all-pairs closure from the current (sound) state. The pass
+	// tracer is handed through, so the event chain continues across the
+	// schedule switch (the fallback's seeding rows are one more "frontier"
+	// event, then events carry the all-pairs phase).
+	pt.beginPass()
+	for i := 0; i < n; i++ {
+		activate(i)
+	}
+	drain()
+	pt.endPass(0, count)
+	fs.Frontier, fs.Saturated = n, true
+	st, err := e.closeTraced(ctx, ix, pt)
+	fs.Stats.Add(st)
+	if err != nil {
+		return nil, fs, err
+	}
+	return ix, fs, nil
 }
 
 // QueryFromContext evaluates R_start restricted to the given source nodes:

@@ -76,8 +76,10 @@ func (ev PassEvent) TotalDelta() int {
 // disabled trace (nil *Trace, or all hooks nil) costs the evaluation one
 // pointer test and no allocations.
 type Trace struct {
-	// Pass is called after the seeding step and after every fixpoint pass
-	// of RunContext, CloseContext, RunFromContext and UpdateContext.
+	// Pass is called after the seeding step of RunContext, CloseContext,
+	// RunFromContext and UpdateContext, and after every pass of the
+	// fixpoint driver those evaluations run (a saturated RunFromContext
+	// adds one seeding event for the rows its fallback activates).
 	Pass func(PassEvent)
 }
 

@@ -5,6 +5,7 @@ package server
 // codes, and the per-strategy /debug/vars counters.
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -398,5 +399,68 @@ func TestHTTPMemoryBudget(t *testing.T) {
 	if code, body := httpDo(t, srv, http.MethodPost, "/v1/query",
 		`{"graph":"social","grammar":"reach","nonterminal":"S"}`); code != http.StatusOK {
 		t.Fatalf("unbudgeted query after lift: %d %v", code, body)
+	}
+}
+
+// TestHTTPMemoryBudgetPatch asserts the service budget governs incremental
+// patches: an edge write whose patch breaches the budget is still
+// acknowledged and durable, but the cached index is reported invalidated
+// (not patched) and dropped, the rejection is counted, and the next query
+// — a rebuild under the same budget — answers 413.
+func TestHTTPMemoryBudgetPatch(t *testing.T) {
+	const n = 200
+	dir := t.TempDir()
+	svc := persistentService(t, dir)
+	svc.SetMemoryBudget(64 << 10)
+	srv := httptest.NewServer(Handler(svc))
+	t.Cleanup(srv.Close)
+
+	// 200 named nodes joined by a label the grammar ignores, so the first
+	// build is a cheap, edgeless closure.
+	var graphText strings.Builder
+	for i := 0; i+1 < n; i++ {
+		fmt.Fprintf(&graphText, "n%d b n%d\n", i, i+1)
+	}
+	if code, body := httpDo(t, srv, http.MethodPut, "/v1/graphs/ring?format=edgelist", graphText.String()); code != http.StatusOK {
+		t.Fatalf("PUT graph: %d %v", code, body)
+	}
+	if code, body := httpDo(t, srv, http.MethodPut, "/v1/grammars/loop", "S -> a S | a"); code != http.StatusOK {
+		t.Fatalf("PUT grammar: %d %v", code, body)
+	}
+	query := `{"graph":"ring","grammar":"loop","nonterminal":"S","output":"count"}`
+	if code, body := httpDo(t, srv, http.MethodPost, "/v1/query", query); code != http.StatusOK || body["count"].(float64) != 0 {
+		t.Fatalf("first build under the budget: %d %v", code, body)
+	}
+
+	// Closing the a-cycle patches the cached index past the budget.
+	edges := make([]string, n)
+	for i := range edges {
+		edges[i] = fmt.Sprintf(`{"from":"n%d","label":"a","to":"n%d"}`, i, (i+1)%n)
+	}
+	code, body := httpDo(t, srv, http.MethodPost, "/v1/graphs/ring/edges", `{"edges":[`+strings.Join(edges, ",")+`]}`)
+	if code != http.StatusOK {
+		t.Fatalf("over-budget write: %d %v, want it acknowledged", code, body)
+	}
+	if body["added"].(float64) != n || body["patched"].(float64) != 0 || body["invalidated"].(float64) != 1 {
+		t.Fatalf("over-budget write result %v, want %d added, 0 patched, 1 invalidated", body, n)
+	}
+	if !strings.Contains(scrape(t, srv), "cfpqd_budget_rejections_total 1\n") {
+		t.Fatal("cfpqd_budget_rejections_total did not tick for the rejected patch")
+	}
+
+	// The index was dropped; its rebuild needs the whole 200×200 relation.
+	if code, body := httpDo(t, srv, http.MethodPost, "/v1/query", query); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("query after the rejected patch: %d %v, want 413", code, body)
+	}
+	if !strings.Contains(scrape(t, srv), "cfpqd_budget_rejections_total 2\n") {
+		t.Fatal("cfpqd_budget_rejections_total did not tick for the rejected rebuild")
+	}
+
+	// The write is durable: a restarted, unbudgeted service sees the cycle.
+	srv.Close()
+	restarted := httptest.NewServer(Handler(reopen(t, svc, dir)))
+	t.Cleanup(restarted.Close)
+	if code, body := httpDo(t, restarted, http.MethodPost, "/v1/query", query); code != http.StatusOK || body["count"].(float64) != n*n {
+		t.Fatalf("query after restart: %d %v, want count %d", code, body, n*n)
 	}
 }

@@ -32,7 +32,7 @@ type Prepared struct {
 	build   Stats   // the initial closure
 	update  Stats   // accumulated incremental patches
 	updates int     // number of AddEdges calls that patched
-	dirty   bool    // a cancelled patch left consequences unpropagated
+	dirty   bool    // a cancelled or over-budget patch left consequences unpropagated
 	queries atomic.Int64
 }
 
@@ -407,10 +407,11 @@ type UpdateInfo struct {
 // AddEdges inserts edges into the bound graph and brings the cached index
 // up to date with the incremental delta closure; edges referencing nodes
 // beyond the current range transparently grow the graph and the index. The
-// context is checked between closure passes. If a patch is cancelled
-// mid-way the index stays sound (every answered pair has a witness) but
-// may miss consequences of the new edges; the next successful AddEdges
-// repairs it with a full rebuild.
+// context is checked between closure passes, and an engine-wide memory
+// budget is enforced on the patch like on any closure. If a patch is
+// cancelled or stopped by the budget mid-way, the index stays sound (every
+// answered pair has a witness) but may miss consequences of the new edges;
+// the next successful AddEdges repairs it with a full rebuild.
 //
 // With a WAL attached (AttachWAL), the new edges are journaled before any
 // in-memory state changes; a journaling failure aborts the call cleanly.
@@ -473,10 +474,10 @@ func (p *Prepared) AddEdges(ctx context.Context, edges ...Edge) (UpdateInfo, err
 	p.updates++
 	info.Stats = st
 	info.Delta = delta
-	// Publish even on cancellation: the partial delta's pairs are in the
-	// index (the update is sound, just unfinished), and the repair's
-	// new-minus-old delta will exclude them — so subscribers see every
-	// pair exactly once across the cancelled patch and its repair.
+	// Publish even on cancellation or a budget breach: the partial delta's
+	// pairs are in the index (the update is sound, just unfinished), and
+	// the repair's new-minus-old delta will exclude them — so subscribers
+	// see every pair exactly once across the failed patch and its repair.
 	p.publishLocked(delta)
 	if err != nil {
 		p.dirty = true
