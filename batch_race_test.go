@@ -49,7 +49,12 @@ func TestQueryBatchRacesAddEdges(t *testing.T) {
 					}
 				}
 				// The streamed reader participates in the race too.
-				for range p.PairsFrom(context.Background(), "S", []int{i % 8}) {
+				streamed, err := p.Do(context.Background(), cfpq.Request{Nonterminal: "S", Sources: []int{i % 8}})
+				if err != nil {
+					t.Errorf("streamed read under race: %v", err)
+					return
+				}
+				for range streamed.Pairs() {
 					break
 				}
 			}
@@ -79,7 +84,7 @@ func TestQueryBatchRacesAddEdges(t *testing.T) {
 	if res[0].Err != nil {
 		t.Fatal(res[0].Err)
 	}
-	if got, want := res[0].Result.Count, p.Count(context.Background(), "S"); got != want {
+	if got, want := res[0].Result.Count, read(t, p, cfpq.Request{Nonterminal: "S", Output: cfpq.OutputCount}).Count; got != want {
 		t.Fatalf("post-race count: batch %d, single %d", got, want)
 	}
 }

@@ -11,7 +11,7 @@ import (
 
 // testPrepared builds a small prepared handle over the chain
 // 0 -a-> 1 -a-> 2 -b-> 3 -b-> 4 with S -> a S b | a b; the tests below
-// compare batch answers against the handle's own single-query methods
+// compare batch answers against the handle's own single-request answers
 // rather than assuming the relation.
 func testPrepared(t *testing.T, be cfpq.Backend) *cfpq.Prepared {
 	t.Helper()
@@ -26,6 +26,16 @@ func testPrepared(t *testing.T, be cfpq.Backend) *cfpq.Prepared {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// read answers req from the handle's cached index.
+func read(t *testing.T, p *cfpq.Prepared, req cfpq.Request) *cfpq.Result {
+	t.Helper()
+	res, err := p.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func TestPreparedQueryBatchMatchesSingleQueries(t *testing.T) {
@@ -53,29 +63,14 @@ func TestPreparedQueryBatchMatchesSingleQueries(t *testing.T) {
 				t.Fatalf("%s: request %d: strategy %q, want %q", be, i, got, want)
 			}
 		}
-		if got, want := res[0].Result.Exists, p.Has(context.Background(), "S", 1, 3); got != want {
-			t.Errorf("%s: exists(1,3) = %v, want %v", be, got, want)
-		}
-		if got, want := res[1].Result.Exists, p.Has(context.Background(), "S", 0, 3); got != want {
-			t.Errorf("%s: exists(0,3) = %v, want %v", be, got, want)
-		}
 		if res[2].Result.Exists {
 			t.Errorf("%s: out-of-range exists answered true", be)
 		}
-		if got, want := res[3].Result.Count, p.Count(context.Background(), "S"); got != want {
-			t.Errorf("%s: count = %d, want %d", be, got, want)
-		}
-		if !slices.Equal(res[4].Result.AllPairs(), p.Relation(context.Background(), "S")) {
-			t.Errorf("%s: pairs = %v, want %v", be, res[4].Result.AllPairs(), p.Relation(context.Background(), "S"))
-		}
-		if !slices.Equal(res[5].Result.AllPairs(), p.Relation(context.Background(), "S")) {
-			t.Errorf("%s: default-output pairs = %v, want %v", be, res[5].Result.AllPairs(), p.Relation(context.Background(), "S"))
-		}
-		if got, want := res[6].Result.Count, p.CountFrom(context.Background(), "S", []int{0}); got != want {
-			t.Errorf("%s: restricted count = %d, want %d", be, got, want)
-		}
-		if !slices.Equal(res[7].Result.AllPairs(), p.RelationFrom(context.Background(), "S", []int{0, 1})) {
-			t.Errorf("%s: restricted pairs = %v, want %v", be, res[7].Result.AllPairs(), p.RelationFrom(context.Background(), "S", []int{0, 1}))
+		for i, req := range reqs {
+			got, want := res[i].Result, read(t, p, req)
+			if got.Exists != want.Exists || got.Count != want.Count || !slices.Equal(got.AllPairs(), want.AllPairs()) {
+				t.Errorf("%s: request %d: batch answered %+v, single request %+v", be, i, got, want)
+			}
 		}
 	}
 }
@@ -131,10 +126,11 @@ func TestEngineQueryBatchOneShot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := eng.Query(context.Background(), g, gram, "S")
+	single, err := eng.Do(context.Background(), cfpq.Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairs := single.AllPairs()
 	if res[0].Result.Count != len(pairs) {
 		t.Errorf("batch count %d, query returned %d pairs", res[0].Result.Count, len(pairs))
 	}
@@ -149,7 +145,7 @@ func TestEngineQueryBatchOneShot(t *testing.T) {
 func TestPreparedSourceFilteredReads(t *testing.T) {
 	for _, be := range cfpq.Backends() {
 		p := testPrepared(t, be)
-		full := p.Relation(context.Background(), "S")
+		full := read(t, p, cfpq.Request{Nonterminal: "S"}).AllPairs()
 		if len(full) == 0 {
 			t.Fatalf("%s: empty relation, test graph broken", be)
 		}
@@ -161,21 +157,22 @@ func TestPreparedSourceFilteredReads(t *testing.T) {
 				want = append(want, pr)
 			}
 		}
-		if got := p.RelationFrom(context.Background(), "S", sources); !slices.Equal(got, want) {
-			t.Errorf("%s: RelationFrom = %v, want %v", be, got, want)
-		}
-		if got := p.CountFrom(context.Background(), "S", sources); got != len(want) {
-			t.Errorf("%s: CountFrom = %d, want %d", be, got, len(want))
+		res := read(t, p, cfpq.Request{Nonterminal: "S", Sources: sources})
+		if got := res.AllPairs(); !slices.Equal(got, want) {
+			t.Errorf("%s: restricted pairs = %v, want %v", be, got, want)
 		}
 		var streamed []cfpq.Pair
-		for pr := range p.PairsFrom(context.Background(), "S", sources) {
+		for pr := range res.Pairs() {
 			streamed = append(streamed, pr)
 		}
 		if !slices.Equal(streamed, want) {
-			t.Errorf("%s: PairsFrom = %v, want %v", be, streamed, want)
+			t.Errorf("%s: streamed restricted pairs = %v, want %v", be, streamed, want)
 		}
-		if got := p.RelationFrom(context.Background(), "Nope", sources); got != nil {
-			t.Errorf("%s: unknown non-terminal RelationFrom = %v, want nil", be, got)
+		if got := read(t, p, cfpq.Request{Nonterminal: "S", Sources: sources, Output: cfpq.OutputCount}).Count; got != len(want) {
+			t.Errorf("%s: restricted count = %d, want %d", be, got, len(want))
+		}
+		if _, err := p.Do(context.Background(), cfpq.Request{Nonterminal: "Nope", Sources: sources}); err == nil {
+			t.Errorf("%s: unknown non-terminal: expected an error", be)
 		}
 	}
 }
@@ -185,7 +182,7 @@ func TestPreparedSourceFilteredReads(t *testing.T) {
 func TestPreparedPairsFromEarlyBreak(t *testing.T) {
 	p := testPrepared(t, cfpq.Sparse)
 	count := 0
-	for range p.PairsFrom(context.Background(), "S", []int{0, 1, 2, 3, 4}) {
+	for range read(t, p, cfpq.Request{Nonterminal: "S", Sources: []int{0, 1, 2, 3, 4}}).Pairs() {
 		count++
 		break
 	}

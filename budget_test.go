@@ -65,8 +65,8 @@ func TestMemoryBudgetRejects(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Prepare under 64MiB budget: %v", err)
 			}
-			if p.Count(context.Background(), "S") != 3 {
-				t.Fatalf("budgeted Prepare count = %d, want 3", p.Count(context.Background(), "S"))
+			if n := read(t, p, cfpq.Request{Nonterminal: "S", Output: cfpq.OutputCount}).Count; n != 3 {
+				t.Fatalf("budgeted Prepare count = %d, want 3", n)
 			}
 		})
 	}
@@ -115,7 +115,7 @@ func TestMemoryBudgetGovernsPatches(t *testing.T) {
 			// The index started empty, so what the failed patch reports is
 			// exactly what the handle now holds.
 			for _, nt := range cnf.Names {
-				if got, held := failed.Delta.Pairs(nt), p.Relation(ctx, nt); !samePairs(got, held) {
+				if got, held := failed.Delta.Pairs(nt), read(t, p, cfpq.Request{Nonterminal: nt}).AllPairs(); !samePairs(got, held) {
 					t.Fatalf("R_%s: failed patch reported %d pairs, handle holds %d", nt, len(got), len(held))
 				}
 			}
@@ -146,11 +146,58 @@ func TestMemoryBudgetGovernsPatches(t *testing.T) {
 						t.Fatalf("R_%s: pair %v delivered %d times, want once", nt, pr, seen[pr])
 					}
 				}
-				if !samePairs(p.Relation(ctx, nt), full) {
+				if !samePairs(read(t, p, cfpq.Request{Nonterminal: nt}).AllPairs(), full) {
 					t.Fatalf("R_%s after repair disagrees with a cold closure", nt)
 				}
 			}
 		})
+	}
+}
+
+// TestMemoryBudgetGovernsConjunctive asserts the budget governs the
+// conjunctive closure, which runs its own fixpoint loop outside the CFG
+// engine: on a 300-node a-cycle whose closure (all 90,000 pairs) far
+// outgrows 64 KiB, the conjunctive request must fail with the typed error
+// exactly like the CFG request over the same language does, engine-wide
+// and per call.
+func TestMemoryBudgetGovernsConjunctive(t *testing.T) {
+	ctx := context.Background()
+	const n, budget = 300, 64 << 10
+	g := cfpq.NewGraph(n)
+	for i := 0; i < n; i++ {
+		g.AddEdge(i, "a", (i+1)%n)
+	}
+	cg, err := cfpq.ParseConjunctive("S -> a S & a S | a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cfpq.Request{Graph: g, Grammar: cfpq.MustParseGrammar("S -> a S | a"), Nonterminal: "S", Output: cfpq.OutputCount}
+	conj := cfpq.Request{Graph: g, Conjunctive: cg, Nonterminal: "S", Output: cfpq.OutputCount}
+
+	tight := cfpq.NewEngine(cfpq.Sparse, cfpq.WithMemoryBudget(budget))
+	for name, req := range map[string]cfpq.Request{"CFG": cfg, "conjunctive": conj} {
+		var mbe *cfpq.MemoryBudgetError
+		if _, err := tight.Do(ctx, req); !errors.As(err, &mbe) {
+			t.Fatalf("%s under an engine budget of %d bytes: %v, want *MemoryBudgetError", name, budget, err)
+		}
+		if mbe.BudgetBytes != budget || mbe.EstimatedBytes <= budget {
+			t.Fatalf("%s: error payload %+v, want budget %d and a larger estimate", name, mbe, budget)
+		}
+	}
+	perCall := conj
+	perCall.Options = []cfpq.Option{cfpq.WithMemoryBudget(budget)}
+	var mbe *cfpq.MemoryBudgetError
+	if _, err := cfpq.NewEngine(cfpq.Sparse).Do(ctx, perCall); !errors.As(err, &mbe) {
+		t.Fatalf("conjunctive under a per-call budget: %v, want *MemoryBudgetError", err)
+	}
+
+	// Unbudgeted, the same request answers every pair.
+	res, err := cfpq.NewEngine(cfpq.Sparse).Do(ctx, conj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Count != n*n {
+		t.Fatalf("unbudgeted conjunctive count = %d, want %d", res.Count, n*n)
 	}
 }
 
@@ -193,8 +240,8 @@ func TestDoBoundsErrorsStructured(t *testing.T) {
 		{"targets negative", cfpq.Request{Nonterminal: "S", Targets: []int{-7}}, "targets", "negative node id", true},
 		// Too-large ids are checked against the bound graph's size on
 		// Engine.Do; Prepared.Do deliberately tolerates them (its graph
-		// can grow under AddEdges, and Has/Relation already answer false
-		// for unknown nodes).
+		// can grow under AddEdges, so a caller may name a node its
+		// snapshot does not have yet).
 		{"sources high", cfpq.Request{Nonterminal: "S", Sources: []int{99}}, "sources", "out of range [0,", false},
 		{"targets high", cfpq.Request{Nonterminal: "S", Targets: []int{0, 99}}, "targets", "out of range [0,", false},
 	}

@@ -7,6 +7,16 @@ import (
 	"testing"
 )
 
+// doPairs evaluates req with eng and returns the answer's pair list.
+func doPairs(t *testing.T, eng *Engine, req Request) []Pair {
+	t.Helper()
+	res, err := eng.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.AllPairs()
+}
+
 func TestQuickstartFromDoc(t *testing.T) {
 	// The doc.go example must work exactly as written.
 	eng := NewEngine(Sparse)
@@ -17,44 +27,18 @@ func TestQuickstartFromDoc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pairs, err := eng.Query(context.Background(), g, gram, "S")
+	res, err := eng.Do(context.Background(), Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := []Pair{{I: 0, J: 2}}; !reflect.DeepEqual(pairs, want) {
-		t.Errorf("pairs = %v, want %v", pairs, want)
-	}
-	// The deprecated free-function form keeps working.
-	legacy, err := Query(g, gram, "S")
-	if err != nil || !reflect.DeepEqual(legacy, pairs) {
-		t.Errorf("legacy Query = %v, %v", legacy, err)
-	}
-}
-
-func TestQueryBackendsAgreeViaPublicAPI(t *testing.T) {
-	g := NewGraph(0)
-	g.AddEdge(0, "a", 1)
-	g.AddEdge(1, "a", 2)
-	g.AddEdge(2, "b", 3)
-	g.AddEdge(3, "b", 0)
-	gram := MustParseGrammar("S -> a S b | a b")
-	var ref []Pair
-	for i, opt := range []Option{WithDense(), WithDenseParallel(2), WithSparse(), WithSparseParallel(2)} {
-		pairs, err := Query(g, gram, "S", opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i == 0 {
-			ref = pairs
-			continue
-		}
-		if !reflect.DeepEqual(pairs, ref) {
-			t.Errorf("backend %d disagrees: %v vs %v", i, pairs, ref)
-		}
+	if want := []Pair{{I: 0, J: 2}}; !reflect.DeepEqual(res.AllPairs(), want) {
+		t.Errorf("pairs = %v, want %v", res.AllPairs(), want)
 	}
 }
 
 func TestEvaluateAndSinglePath(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(Sparse)
 	g := NewGraph(0)
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "b", 2)
@@ -62,14 +46,20 @@ func TestEvaluateAndSinglePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ix, stats := Evaluate(g, cnf)
+	ix, stats, err := eng.Evaluate(ctx, g, cnf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !ix.Has("S", 0, 2) {
 		t.Error("(0,2) missing")
 	}
 	if stats.Iterations == 0 {
 		t.Error("no iterations recorded")
 	}
-	px := SinglePath(g, cnf)
+	px, err := eng.SinglePath(ctx, g, cnf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	path, ok := px.Path("S", 0, 2)
 	if !ok || len(path) != 2 {
 		t.Errorf("path = %v, ok=%v", path, ok)
@@ -77,16 +67,21 @@ func TestEvaluateAndSinglePath(t *testing.T) {
 }
 
 func TestAllPathsPublicAPI(t *testing.T) {
+	ctx := context.Background()
+	eng := NewEngine(Sparse)
 	g := NewGraph(0)
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "b", 2)
 	cnf, _ := ToCNF(MustParseGrammar("S -> a b"))
-	ix, _ := Evaluate(g, cnf)
-	paths, err := AllPaths(g, ix, "S", 0, 2, AllPathsOptions{})
+	ix, _, err := eng.Evaluate(ctx, g, cnf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paths, err := eng.AllPaths(ctx, g, ix, "S", 0, 2, AllPathsOptions{})
 	if err != nil || len(paths) != 1 {
 		t.Errorf("paths = %v, err = %v", paths, err)
 	}
-	if _, err := AllPaths(g, ix, "Nope", 0, 2, AllPathsOptions{}); err == nil {
+	if _, err := eng.AllPaths(ctx, g, ix, "Nope", 0, 2, AllPathsOptions{}); err == nil {
 		t.Error("unknown non-terminal should error")
 	}
 }
@@ -95,10 +90,7 @@ func TestWithEmptyPaths(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, "a", 1)
 	gram := MustParseGrammar("S -> a S | eps")
-	pairs, err := Query(g, gram, "S", WithEmptyPaths())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairs := doPairs(t, NewEngine(Sparse), Request{Graph: g, Grammar: gram, Nonterminal: "S", EmptyPaths: true})
 	want := []Pair{{I: 0, J: 0}, {I: 0, J: 1}, {I: 1, J: 1}}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
@@ -114,10 +106,7 @@ func TestLoadNTriplesPublicAPI(t *testing.T) {
 		t.Errorf("graph = %v", g)
 	}
 	gram := MustParseGrammar("S -> p_r")
-	pairs, err := Query(g, gram, "S")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairs := doPairs(t, NewEngine(Sparse), Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 	if len(pairs) != 1 || pairs[0].I != ids["y"] || pairs[0].J != ids["x"] {
 		t.Errorf("inverse-edge query = %v (ids %v)", pairs, ids)
 	}
@@ -126,7 +115,7 @@ func TestLoadNTriplesPublicAPI(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	g := NewGraph(1)
 	gram := MustParseGrammar("S -> a")
-	if _, err := Query(g, gram, "Missing"); err == nil {
+	if _, err := NewEngine(Sparse).Do(context.Background(), Request{Graph: g, Grammar: gram, Nonterminal: "Missing"}); err == nil {
 		t.Error("unknown start non-terminal should error")
 	}
 }

@@ -1,9 +1,9 @@
 package cfpq_test
 
 // The golden cross-backend conformance suite: fixed graphs and grammars
-// with committed expected results for every query method — Query,
-// QueryFrom, SinglePath, ShortestPath, AllPaths, RPQ and QueryConjunctive
-// — run against all four matrix backends. These goldens pin the observable
+// with committed expected results for every query shape — Do with a
+// plain, source-restricted, RPQ and conjunctive Request, SinglePath,
+// ShortestPath and AllPaths — run against all four matrix backends. These goldens pin the observable
 // semantics of the library so the evaluation internals (in particular the
 // source-restricted closure and any future kernel work) can be refactored
 // aggressively: any behavioural drift fails here first, with the exact
@@ -35,6 +35,16 @@ func figure5() (*cfpq.Graph, *cfpq.Grammar) {
 	return g, gram
 }
 
+// doPairs evaluates req with eng and returns the answer's pair list.
+func doPairs(t *testing.T, eng *cfpq.Engine, req cfpq.Request) []cfpq.Pair {
+	t.Helper()
+	res, err := eng.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.AllPairs()
+}
+
 // forEachBackend runs the check once per paper backend, as a subtest.
 func forEachBackend(t *testing.T, fn func(t *testing.T, eng *cfpq.Engine)) {
 	t.Helper()
@@ -60,7 +70,6 @@ func TestConformanceDatasetCounts(t *testing.T) {
 		{"atom-primitive", 269, 1389, 142},
 		{"foaf", 404, 2096, 211},
 	}
-	ctx := context.Background()
 	forEachBackend(t, func(t *testing.T, eng *cfpq.Engine) {
 		for _, row := range golden {
 			d, ok := dataset.ByName(row.dataset)
@@ -73,10 +82,7 @@ func TestConformanceDatasetCounts(t *testing.T) {
 					row.dataset, g.Nodes(), row.nodes)
 			}
 			for q, want := range map[int]int{1: row.q1Count, 2: row.q2Count} {
-				pairs, err := eng.Query(ctx, g, dataset.Query(q), "S")
-				if err != nil {
-					t.Fatal(err)
-				}
+				pairs := doPairs(t, eng, cfpq.Request{Graph: g, Grammar: dataset.Query(q), Nonterminal: "S"})
 				if len(pairs) != want {
 					t.Errorf("%s query %d: %d pairs, want %d", row.dataset, q, len(pairs), want)
 				}
@@ -98,22 +104,16 @@ func TestConformanceFigure5(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Query (relational semantics).
-		pairs, err := eng.Query(ctx, g, gram, "S")
-		if err != nil {
-			t.Fatal(err)
-		}
+		// The relational semantics.
+		pairs := doPairs(t, eng, cfpq.Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 		if !slices.Equal(pairs, wantS) {
-			t.Errorf("Query = %v, want %v", pairs, wantS)
+			t.Errorf("pairs = %v, want %v", pairs, wantS)
 		}
 
-		// QueryFrom: filtered to source node 1.
-		from, err := eng.QueryFrom(ctx, g, gram, "S", []int{1})
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Restricted to source node 1.
+		from := doPairs(t, eng, cfpq.Request{Graph: g, Grammar: gram, Nonterminal: "S", Sources: []int{1}})
 		if want := []cfpq.Pair{{I: 1, J: 2}}; !slices.Equal(from, want) {
-			t.Errorf("QueryFrom([1]) = %v, want %v", from, want)
+			t.Errorf("pairs from [1] = %v, want %v", from, want)
 		}
 
 		// SinglePath and ShortestPath: same relation, pinned witness
@@ -176,7 +176,6 @@ func TestConformanceFigure5(t *testing.T) {
 // hierarchy: instances 4 and 5 reach their classes' ancestors via
 // `type subClassOf*`.
 func TestConformanceRPQ(t *testing.T) {
-	ctx := context.Background()
 	want := []cfpq.Pair{{I: 4, J: 0}, {I: 4, J: 1}, {I: 4, J: 3}, {I: 5, J: 0}, {I: 5, J: 2}}
 	forEachBackend(t, func(t *testing.T, eng *cfpq.Engine) {
 		h := cfpq.NewGraph(6)
@@ -185,10 +184,7 @@ func TestConformanceRPQ(t *testing.T) {
 		h.AddEdge(3, "subClassOf", 1)
 		h.AddEdge(4, "type", 3)
 		h.AddEdge(5, "type", 2)
-		pairs, err := eng.RPQ(ctx, h, "type subClassOf*")
-		if err != nil {
-			t.Fatal(err)
-		}
+		pairs := doPairs(t, eng, cfpq.Request{Graph: h, Expr: "type subClassOf*"})
 		if !slices.Equal(pairs, want) {
 			t.Errorf("RPQ = %v, want %v", pairs, want)
 		}
@@ -198,7 +194,6 @@ func TestConformanceRPQ(t *testing.T) {
 // TestConformanceConjunctive pins the canonical conjunctive query
 // {aⁿbⁿcⁿ} on the linear word a²b²c²: exactly the full-word pair.
 func TestConformanceConjunctive(t *testing.T) {
-	ctx := context.Background()
 	cg, err := cfpq.ParseConjunctive(`
 		S -> A B & D C
 		A -> a A | a
@@ -215,12 +210,9 @@ func TestConformanceConjunctive(t *testing.T) {
 		for i, l := range []string{"a", "a", "b", "b", "c", "c"} {
 			w.AddEdge(i, l, i+1)
 		}
-		pairs, err := eng.QueryConjunctive(ctx, w, cg, "S")
-		if err != nil {
-			t.Fatal(err)
-		}
+		pairs := doPairs(t, eng, cfpq.Request{Graph: w, Conjunctive: cg, Nonterminal: "S"})
 		if !slices.Equal(pairs, want) {
-			t.Errorf("QueryConjunctive = %v, want %v", pairs, want)
+			t.Errorf("conjunctive pairs = %v, want %v", pairs, want)
 		}
 	})
 }

@@ -51,13 +51,10 @@
 //
 // The algorithm reduces query evaluation to a Boolean-matrix transitive
 // closure: one |V|×|V| Boolean matrix per non-terminal, with one matrix
-// multiplication per grammar production per fixpoint pass. The familiar
-// call shapes survive as one-line sugar over Do — Query (unrestricted
-// pairs), QueryFrom/QueryFromStats (source-restricted), QueryTo
-// (target-restricted), RPQ, QueryConjunctive — alongside the index-level
-// APIs: Evaluate (the full Index), witness paths (SinglePath,
-// ShortestPath, AllPaths), incremental maintenance (Update) and index
-// persistence (LoadIndex with SaveIndex).
+// multiplication per grammar production per fixpoint pass. Beside Do sit
+// the index-level APIs: Evaluate (the full Index), witness paths
+// (SinglePath, ShortestPath, AllPaths), incremental maintenance (Update)
+// and index persistence (LoadIndex with SaveIndex).
 //
 // # Batched requests
 //
@@ -86,8 +83,7 @@
 //
 //	p, _ := eng.Prepare(ctx, g, gram)
 //	res, _ := p.Do(ctx, cfpq.Request{Nonterminal: "S", Sources: []int{0, 1}})
-//	p.Has("S", 0, 2)                       // sugar over Do, like the other readers
-//	for pair := range p.Pairs("S") { ... } // iter.Seq snapshot
+//	for pair := range res.Pairs() { ... } // iter.Seq snapshot
 //	p.AddEdges(ctx, cfpq.Edge{From: 2, Label: "a", To: 7}) // patched, not rebuilt
 //
 // # Live queries
@@ -116,24 +112,26 @@
 // too — fed by the replicated-apply path); Prepared.Close ends every
 // subscription so consumers learn their handle is gone.
 //
-// # Old → new call shapes
+// # Removed call shapes
 //
-// Pre-planner methods map onto Requests one for one (all remain and are
-// sugar over Do):
+// The pre-planner call shapes were removed; each is one Request to Do:
 //
-//	Engine.Query(g, gram, "S")            = Request{Graph: g, Grammar: gram, Nonterminal: "S"}
-//	Engine.QueryFrom(..., srcs)           = Request{..., Sources: srcs}
-//	Engine.QueryTo(..., tgts)             = Request{..., Targets: tgts}
-//	Engine.RPQ(g, expr)                   = Request{Graph: g, Expr: expr}
-//	Engine.QueryConjunctive(g, cg, "S")   = Request{Graph: g, Conjunctive: cg, Nonterminal: "S"}
-//	Prepared.Has("S", i, j)               = Request{Nonterminal: "S", Sources: []int{i}, Targets: []int{j}, Output: OutputExists}
-//	Prepared.Count("S")                   = Request{Nonterminal: "S", Output: OutputCount}
-//	Prepared.Relation/Pairs("S")          = Request{Nonterminal: "S"}
-//	Prepared.RelationFrom("S", srcs)      = Request{Nonterminal: "S", Sources: srcs}
-//	Prepared.Paths("S", i, j, opts)       = Request{Nonterminal: "S", Sources: []int{i}, Targets: []int{j}, Output: OutputPaths, Limit: opts.MaxPaths, MaxPathLength: opts.MaxLength}
+//	Engine.Query(g, gram, "S")            → Request{Graph: g, Grammar: gram, Nonterminal: "S"}
+//	Engine.QueryFrom(..., srcs)           → Request{..., Sources: srcs}
+//	Engine.QueryTo(..., tgts)             → Request{..., Targets: tgts}
+//	Engine.RPQ(g, expr)                   → Request{Graph: g, Expr: expr}
+//	Engine.QueryConjunctive(g, cg, "S")   → Request{Graph: g, Conjunctive: cg, Nonterminal: "S"}
+//	Prepared.Has("S", i, j)               → Request{Nonterminal: "S", Sources: []int{i}, Targets: []int{j}, Output: OutputExists}
+//	Prepared.Count("S")                   → Request{Nonterminal: "S", Output: OutputCount}
+//	Prepared.Relation/Pairs("S")          → Request{Nonterminal: "S"}
+//	Prepared.RelationFrom("S", srcs)      → Request{Nonterminal: "S", Sources: srcs}
+//	Prepared.Paths("S", i, j, opts)       → Request{Nonterminal: "S", Sources: []int{i}, Targets: []int{j}, Output: OutputPaths, Limit: opts.MaxPaths, MaxPathLength: opts.MaxLength}
+//	WithEmptyPaths()                      → Request{..., EmptyPaths: true}
+//	WithDense() and the other backend options → NewEngine(Dense), NewEngine(SparseParallel(n)), …
 //
-// The free functions (Query, Evaluate, SinglePath, RPQ, Update, …) predate
-// Engine and remain as deprecated wrappers over a default sparse engine.
+// The free functions Query, RPQ and QueryConjunctive became Requests to
+// NewEngine(Sparse).Do; Evaluate, SinglePath, ShortestPath, AllPaths,
+// Update and LoadIndex became the Engine methods of the same names.
 //
 // # Observability
 //
@@ -156,8 +154,8 @@
 //
 // WithMemoryBudget bounds the estimated matrix footprint of a closure —
 // per call as an Option, or engine-wide via NewEngine(backend,
-// cfpq.WithMemoryBudget(n)), where it also governs Prepare and every
-// incremental patch. An evaluation that would exceed the budget fails
+// cfpq.WithMemoryBudget(n)), where it also governs Prepare, every
+// incremental patch and conjunctive evaluations. An evaluation that would exceed the budget fails
 // fast between passes with a typed *MemoryBudgetError instead of
 // thrashing the process; cmd/cfpqd maps the error to HTTP 413.
 //

@@ -10,15 +10,14 @@ import (
 
 // Engine is the one query surface of this library: a closure engine bound
 // to a matrix Backend. Its evaluation entry point is Do, which plans a
-// declarative Request (full closure, source frontier, target frontier) —
-// the named query methods (Query, QueryFrom, QueryTo, RPQ,
-// QueryConjunctive, QueryBatch) are sugar over it, alongside the
-// index-level APIs: full closures, single-/shortest-/all-path semantics,
-// incremental updates and index (de)serialisation. Construct it once and
-// share it: an Engine is immutable and safe for concurrent use; all
-// per-call state lives in the arguments and results.
+// declarative Request (full closure, source frontier, target frontier);
+// QueryBatch answers many Requests from one index build. Beside them sit
+// the index-level APIs: full closures, single-/shortest-/all-path
+// semantics, incremental updates and index (de)serialisation. Construct
+// it once and share it: an Engine is immutable and safe for concurrent
+// use; all per-call state lives in the arguments and results.
 //
-// Every query method takes a context.Context that is checked between
+// Every evaluation method takes a context.Context that is checked between
 // closure passes, so long evaluations on large graphs can be cancelled or
 // given deadlines; a cancelled call returns ctx.Err().
 //
@@ -45,95 +44,21 @@ func NewEngine(b Backend, opts ...Option) *Engine {
 // Backend returns the engine's backend.
 func (e *Engine) Backend() Backend { return e.backend }
 
-// resolveBackend applies the (deprecated) per-call backend override to the
-// engine's backend.
-func (e *Engine) resolveBackend(cfg *config) Backend {
-	if cfg.backend != nil {
-		return *cfg.backend
-	}
-	return e.backend
-}
-
-// newCore resolves per-call options against the engine's backend and
-// builds the internal closure engine. This is deliberately the only place
+// newCore builds the internal closure engine from the engine's backend and
+// options plus the per-call options. This is deliberately the only place
 // in the library that constructs core.NewEngine: every evaluation path —
 // library, server, CLI, bench — funnels through it.
 func (e *Engine) newCore(cfg *config) *core.Engine {
 	opts := make([]core.Option, 0, 1+len(e.engineOpts)+len(cfg.engineOpts))
-	opts = append(opts, core.WithBackend(e.resolveBackend(cfg).mat()))
+	opts = append(opts, core.WithBackend(e.backend.mat()))
 	opts = append(opts, e.engineOpts...)
 	opts = append(opts, cfg.engineOpts...)
 	return core.NewEngine(opts...)
 }
 
-// Query evaluates R_start on the graph under the relational semantics and
-// returns the sorted pair list. It is sugar for an unrestricted
-// OutputPairs Request evaluated by Do.
-func (e *Engine) Query(ctx context.Context, g *Graph, gram *Grammar, start string, opts ...Option) ([]Pair, error) {
-	res, err := e.Do(ctx, Request{Graph: g, Grammar: gram, Nonterminal: start, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return res.AllPairs(), nil
-}
-
-// QueryFrom evaluates R_start restricted to the given source nodes: the
-// result is exactly Query's pair list filtered to pairs (i, j) with i ∈
-// sources. Instead of paying for the full n×n closure, the evaluation
-// maintains only the matrix rows of the reachable frontier — the sources
-// plus every node heading a derivation fragment they reach — and falls back
-// to the full closure only when that frontier saturates (more than half of
-// all nodes). This is the right call shape for the dominant serving
-// workload, "what can these nodes reach via S?".
-//
-// An empty source set yields an empty result. Sources outside the graph's
-// node range are an error; duplicates are deduplicated. It is sugar for a
-// source-restricted Request evaluated by Do.
-func (e *Engine) QueryFrom(ctx context.Context, g *Graph, gram *Grammar, start string, sources []int, opts ...Option) ([]Pair, error) {
-	pairs, _, err := e.QueryFromStats(ctx, g, gram, start, sources, opts...)
-	return pairs, err
-}
-
-// FromStats reports what a source-restricted evaluation did: closure work,
-// the final frontier size, and whether the frontier saturated (forcing a
-// full-closure fallback).
-type FromStats = core.FromStats
-
-// QueryFromStats is QueryFrom, additionally reporting the restricted
-// closure's work — the numbers the bench harness tracks when comparing
-// single-source against all-pairs evaluation.
-func (e *Engine) QueryFromStats(ctx context.Context, g *Graph, gram *Grammar, start string, sources []int, opts ...Option) ([]Pair, FromStats, error) {
-	if sources == nil {
-		sources = []int{} // a Request distinguishes nil (unrestricted) from empty
-	}
-	res, err := e.Do(ctx, Request{Graph: g, Grammar: gram, Nonterminal: start, Sources: sources, Options: opts})
-	if err != nil {
-		return nil, FromStats{}, err
-	}
-	return res.AllPairs(), FromStats{Stats: res.Stats, Frontier: res.Explain.Frontier, Saturated: res.Explain.Saturated}, nil
-}
-
-// QueryTo evaluates R_start restricted to the given target nodes: the
-// result is exactly Query's pair list filtered to pairs (i, j) with j ∈
-// targets, evaluated by the target-frontier strategy (the source frontier
-// of the reversed graph under the reversed grammar) with the same
-// saturation fallback as QueryFrom — the call shape of "what reaches these
-// nodes via S?". It is sugar for a target-restricted Request evaluated by
-// Do.
-func (e *Engine) QueryTo(ctx context.Context, g *Graph, gram *Grammar, start string, targets []int, opts ...Option) ([]Pair, error) {
-	if targets == nil {
-		targets = []int{}
-	}
-	res, err := e.Do(ctx, Request{Graph: g, Grammar: gram, Nonterminal: start, Targets: targets, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return res.AllPairs(), nil
-}
-
 // Evaluate runs the matrix closure and returns the full Index, from which
 // the relation of every non-terminal can be read (Relation, Has, Count).
-// Use this instead of Query when several non-terminals are of interest.
+// Use this instead of Do when several non-terminals are of interest.
 func (e *Engine) Evaluate(ctx context.Context, g *Graph, cnf *CNF, opts ...Option) (*Index, Stats, error) {
 	return e.newCore(buildConfig(opts)).RunContext(ctx, g, cnf)
 }
@@ -160,34 +85,6 @@ func (e *Engine) AllPaths(ctx context.Context, g *Graph, ix *Index, start string
 		return nil, fmt.Errorf("cfpq: unknown non-terminal %q", start)
 	}
 	return ix.AllPathsContext(ctx, g, start, i, j, opts)
-}
-
-// RPQ evaluates a regular path query — the expression syntax is
-//
-//	subClassOf_r* type (a | b)+ c?
-//
-// — by compiling the expression to an NFA, the NFA to a right-linear
-// grammar, and evaluating that grammar with this engine. It is sugar for
-// an Expr Request evaluated by Do.
-func (e *Engine) RPQ(ctx context.Context, g *Graph, expr string, opts ...Option) ([]Pair, error) {
-	res, err := e.Do(ctx, Request{Graph: g, Expr: expr, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return res.AllPairs(), nil
-}
-
-// QueryConjunctive evaluates a conjunctive path query. Per the paper's
-// Section 7 hypothesis (verified by this package's tests), the result is
-// an upper approximation of the single-path relation on cyclic graphs and
-// exact on linear inputs. It is sugar for a Conjunctive Request evaluated
-// by Do.
-func (e *Engine) QueryConjunctive(ctx context.Context, g *Graph, cg *ConjunctiveGrammar, start string, opts ...Option) ([]Pair, error) {
-	res, err := e.Do(ctx, Request{Graph: g, Conjunctive: cg, Nonterminal: start, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return res.AllPairs(), nil
 }
 
 // Update incorporates newly added edges into an evaluated Index without

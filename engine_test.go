@@ -27,10 +27,11 @@ func TestEngineBackendsAgree(t *testing.T) {
 	gram := MustParseGrammar("S -> a S b | a b")
 	var ref []Pair
 	for i, be := range Backends() {
-		pairs, err := NewEngine(be).Query(ctx, g, gram, "S")
+		res, err := NewEngine(be).Do(ctx, Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 		if err != nil {
 			t.Fatalf("backend %s: %v", be.Name(), err)
 		}
+		pairs := res.AllPairs()
 		if i == 0 {
 			ref = pairs
 			continue
@@ -114,8 +115,8 @@ func TestCancelledQuerySurfaces(t *testing.T) {
 	g := chainGraph(3)
 	gram := MustParseGrammar("S -> a S b | a b")
 	eng := NewEngine(Sparse)
-	if _, err := eng.Query(ctx, g, gram, "S"); !errors.Is(err, context.Canceled) {
-		t.Errorf("Query err = %v", err)
+	if _, err := eng.Do(ctx, Request{Graph: g, Grammar: gram, Nonterminal: "S"}); !errors.Is(err, context.Canceled) {
+		t.Errorf("Do err = %v", err)
 	}
 	cnf, _ := ToCNF(gram)
 	if _, err := eng.SinglePath(ctx, g, cnf); !errors.Is(err, context.Canceled) {
@@ -124,16 +125,38 @@ func TestCancelledQuerySurfaces(t *testing.T) {
 	if _, err := eng.ShortestPath(ctx, g, cnf); !errors.Is(err, context.Canceled) {
 		t.Errorf("ShortestPath err = %v", err)
 	}
-	if _, err := eng.RPQ(ctx, g, "a+ b"); !errors.Is(err, context.Canceled) {
-		t.Errorf("RPQ err = %v", err)
+	if _, err := eng.Do(ctx, Request{Graph: g, Expr: "a+ b"}); !errors.Is(err, context.Canceled) {
+		t.Errorf("RPQ Do err = %v", err)
 	}
 	cg, _ := ParseConjunctive("S -> A A & A A\nA -> a | a A")
-	if _, err := eng.QueryConjunctive(ctx, g, cg, "S"); !errors.Is(err, context.Canceled) {
-		t.Errorf("QueryConjunctive err = %v", err)
+	if _, err := eng.Do(ctx, Request{Graph: g, Conjunctive: cg, Nonterminal: "S"}); !errors.Is(err, context.Canceled) {
+		t.Errorf("conjunctive Do err = %v", err)
 	}
 	ix, _, _ := eng.Evaluate(context.Background(), g, cnf)
 	if _, err := eng.Update(ctx, ix, Edge{From: 0, Label: "a", To: 2}); !errors.Is(err, context.Canceled) {
 		t.Errorf("Update err = %v", err)
+	}
+
+	// A cached read reports the cancellation as a typed error for every
+	// output shape; a live ctx still answers.
+	p, err := eng.Prepare(context.Background(), chainGraph(3), gram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, req := range []Request{
+		{Nonterminal: "S"},
+		{Nonterminal: "S", Output: OutputCount},
+		{Nonterminal: "S", Output: OutputExists, Sources: []int{0}, Targets: []int{6}},
+		{Nonterminal: "S", Output: OutputPaths, Sources: []int{0}, Targets: []int{6}},
+		{Nonterminal: "S", Sources: []int{0}},
+	} {
+		if _, err := p.Do(ctx, req); !errors.Is(err, context.Canceled) {
+			t.Errorf("Prepared.Do(%+v) err = %v, want context.Canceled", req, err)
+		}
+	}
+	res, err := p.Do(context.Background(), Request{Nonterminal: "S", Output: OutputCount})
+	if err != nil || res.Count != 3 {
+		t.Errorf("live Prepared.Do count = %v, %v, want 3", res, err)
 	}
 }
 
@@ -154,9 +177,11 @@ func TestUpdatePreservesParallelBackend(t *testing.T) {
 		if got := ix.Backend().Name(); got != be.Name() {
 			t.Fatalf("index backend = %q, want %q", got, be.Name())
 		}
-		// The deprecated free Update must also keep the kernel: it takes
-		// the backend from the index, not from its own default engine.
-		Update(context.Background(), ix, Edge{From: 1, Label: "b", To: 2})
+		// An engine with another backend must also keep the kernel: Update
+		// takes the backend from the index, not from the engine.
+		if _, err := NewEngine(Sparse).Update(context.Background(), ix, Edge{From: 1, Label: "b", To: 2}); err != nil {
+			t.Fatal(err)
+		}
 		if got := ix.Backend().Name(); got != be.Name() {
 			t.Errorf("after Update: index backend = %q, want %q", got, be.Name())
 		}

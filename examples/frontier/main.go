@@ -124,7 +124,11 @@ func run(w io.Writer) error {
 		return err
 	}
 	fmt.Fprintf(w, "\nafter mail -> auth is added, billing reaches:\n")
-	for p := range prep.PairsFrom(ctx, "Reach", []int{id["billing"]}) {
+	reach, err := prep.Do(ctx, cfpq.Request{Nonterminal: "Reach", Sources: []int{id["billing"]}})
+	if err != nil {
+		return err
+	}
+	for p := range reach.Pairs() {
 		fmt.Fprintf(w, "  %s\n", services[p.J])
 	}
 	return nil

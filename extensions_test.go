@@ -11,23 +11,17 @@ func TestRPQFacade(t *testing.T) {
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "a", 2)
 	g.AddEdge(2, "b", 3)
-	pairs, err := RPQ(context.Background(), g, "a* b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairs := doPairs(t, NewEngine(Sparse), Request{Graph: g, Expr: "a* b"})
 	want := []Pair{{I: 0, J: 3}, {I: 1, J: 3}, {I: 2, J: 3}}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
 	}
-	// Backend option is honoured (same result).
-	dense, err := RPQ(context.Background(), g, "a* b", WithDenseParallel(2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The engine's backend is honoured (same result).
+	dense := doPairs(t, NewEngine(DenseParallel(2)), Request{Graph: g, Expr: "a* b"})
 	if !reflect.DeepEqual(dense, want) {
 		t.Errorf("dense pairs = %v, want %v", dense, want)
 	}
-	if _, err := RPQ(context.Background(), g, "a* ("); err == nil {
+	if _, err := NewEngine(Sparse).Do(context.Background(), Request{Graph: g, Expr: "a* ("}); err == nil {
 		t.Error("bad expression should error")
 	}
 }
@@ -35,10 +29,7 @@ func TestRPQFacade(t *testing.T) {
 func TestRPQEmptyPathsFacade(t *testing.T) {
 	g := NewGraph(2)
 	g.AddEdge(0, "a", 1)
-	pairs, err := RPQ(context.Background(), g, "a*", WithEmptyPaths())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairs := doPairs(t, NewEngine(Sparse), Request{Graph: g, Expr: "a*", EmptyPaths: true})
 	want := []Pair{{I: 0, J: 0}, {I: 0, J: 1}, {I: 1, J: 1}}
 	if !reflect.DeepEqual(pairs, want) {
 		t.Errorf("pairs = %v, want %v", pairs, want)
@@ -62,10 +53,7 @@ func TestConjunctiveFacade(t *testing.T) {
 	for i, l := range labels {
 		g.AddEdge(i, l, i+1)
 	}
-	pairs, err := QueryConjunctive(context.Background(), g, cg, "S")
-	if err != nil {
-		t.Fatal(err)
-	}
+	pairs := doPairs(t, NewEngine(Sparse), Request{Graph: g, Conjunctive: cg, Nonterminal: "S"})
 	found := false
 	for _, p := range pairs {
 		if p.I == 0 && p.J == len(labels) {
@@ -82,7 +70,10 @@ func TestShortestPathFacade(t *testing.T) {
 	g.AddEdge(0, "a", 1)
 	g.AddEdge(1, "b", 2)
 	cnf, _ := ToCNF(MustParseGrammar("S -> a S b | a b"))
-	px := ShortestPath(context.Background(), g, cnf)
+	px, err := NewEngine(Sparse).ShortestPath(context.Background(), g, cnf)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if l, ok := px.Length("S", 0, 2); !ok || l != 2 {
 		t.Errorf("Length = %d, %v", l, ok)
 	}
@@ -91,15 +82,22 @@ func TestShortestPathFacade(t *testing.T) {
 func TestUpdateFacade(t *testing.T) {
 	gram := MustParseGrammar("S -> a b")
 	cnf, _ := ToCNF(gram)
-	for _, opt := range []Option{WithSparse(), WithDense()} {
+	ctx := context.Background()
+	for _, be := range []Backend{Sparse, Dense} {
+		eng := NewEngine(be)
 		g := NewGraph(3)
 		g.AddEdge(0, "a", 1)
-		ix, _ := Evaluate(g, cnf, opt)
+		ix, _, err := eng.Evaluate(ctx, g, cnf)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if ix.Count("S") != 0 {
 			t.Fatal("premature pair")
 		}
 		g.AddEdge(1, "b", 2)
-		Update(context.Background(), ix, Edge{From: 1, Label: "b", To: 2})
+		if _, err := eng.Update(ctx, ix, Edge{From: 1, Label: "b", To: 2}); err != nil {
+			t.Fatal(err)
+		}
 		if !ix.Has("S", 0, 2) {
 			t.Error("(0,2) missing after Update")
 		}

@@ -165,13 +165,20 @@ func RunLiveQuery(cfg LiveQueryConfig) ([]LiveQueryRow, error) {
 			}
 			pollPairs := 0
 			startPoll := time.Now()
-			prev := pairSet(pollP.Relation(ctx, "S"))
+			res, err := pollP.Do(ctx, cfpq.Request{Nonterminal: "S"})
+			if err != nil {
+				return rows, err
+			}
+			prev := pairSet(res.AllPairs())
 			for _, batch := range batches {
 				if _, err := pollP.AddEdges(ctx, batch...); err != nil {
 					return rows, err
 				}
-				cur := pollP.Relation(ctx, "S")
-				for _, p := range cur {
+				cur, err := pollP.Do(ctx, cfpq.Request{Nonterminal: "S"})
+				if err != nil {
+					return rows, err
+				}
+				for _, p := range cur.AllPairs() {
 					if !prev[p] {
 						pollPairs++
 						prev[p] = true

@@ -140,10 +140,11 @@ func RunPlanner(cfg PlannerConfig) ([]PlannerRow, error) {
 				bestFull := time.Duration(0)
 				for r := 0; r < repeats; r++ {
 					start := time.Now()
-					pairs, err := eng.Query(ctx, g, gram, "S")
+					fullRes, err := eng.Do(ctx, cfpq.Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 					if err != nil {
 						return rows, err
 					}
+					pairs := fullRes.AllPairs()
 					filtered := pairs[:0:0]
 					for _, p := range pairs {
 						if (side == "sources" && seen[p.I]) || (side == "targets" && seen[p.J]) {

@@ -89,7 +89,7 @@ var defaultSingleSourceDatasets = []string{"skos", "foaf", "funding", "wine", "p
 
 // RunSingleSource measures, per (dataset, grammar) cell, answering a
 // k-source question by (a) evaluating the full all-pairs closure and
-// filtering and (b) the source-restricted closure (Engine.QueryFrom),
+// filtering and (b) the source-restricted closure (a Sources Request),
 // verifying both agree pair for pair.
 func RunSingleSource(cfg SingleSourceConfig) ([]SingleSourceRow, error) {
 	names := cfg.Datasets
@@ -151,10 +151,11 @@ func RunSingleSource(cfg SingleSourceConfig) ([]SingleSourceRow, error) {
 			bestFull := time.Duration(0)
 			for r := 0; r < repeats; r++ {
 				start := time.Now()
-				pairs, err := eng.Query(ctx, g, gram, "S")
+				res, err := eng.Do(ctx, cfpq.Request{Graph: g, Grammar: gram, Nonterminal: "S"})
 				if err != nil {
 					return rows, err
 				}
+				pairs := res.AllPairs()
 				filtered := pairs[:0:0]
 				for _, p := range pairs {
 					if seen[p.I] {
@@ -167,23 +168,21 @@ func RunSingleSource(cfg SingleSourceConfig) ([]SingleSourceRow, error) {
 				full = filtered
 			}
 
-			var restricted []cfpq.Pair
-			var fs cfpq.FromStats
+			var res *cfpq.Result
 			bestFrom := time.Duration(0)
 			for r := 0; r < repeats; r++ {
 				start := time.Now()
-				pairs, stats, err := eng.QueryFromStats(ctx, g, gram, "S", sources)
+				res, err = eng.Do(ctx, cfpq.Request{Graph: g, Grammar: gram, Nonterminal: "S", Sources: sources})
 				if err != nil {
 					return rows, err
 				}
 				if d := time.Since(start); bestFrom == 0 || d < bestFrom {
 					bestFrom = d
 				}
-				restricted, fs = pairs, stats
 			}
 
-			if !pairsEqual(full, restricted) {
-				return rows, fmt.Errorf("bench: %s/%s: QueryFrom disagrees with filtered Query (%d vs %d pairs)",
+			if restricted := res.AllPairs(); !pairsEqual(full, restricted) {
+				return rows, fmt.Errorf("bench: %s/%s: source-restricted answer disagrees with the filtered full closure (%d vs %d pairs)",
 					name, gramName, len(restricted), len(full))
 			}
 			rows = append(rows, SingleSourceRow{
@@ -195,8 +194,8 @@ func RunSingleSource(cfg SingleSourceConfig) ([]SingleSourceRow, error) {
 				Edges:          g.EdgeCount(),
 				Sources:        len(sources),
 				Pairs:          len(full),
-				Frontier:       fs.Frontier,
-				Saturated:      fs.Saturated,
+				Frontier:       res.Explain.Frontier,
+				Saturated:      res.Explain.Saturated,
 				AllPairsMS:     msFloat(bestFull),
 				SingleSourceMS: msFloat(bestFrom),
 				Speedup:        float64(bestFull) / float64(bestFrom),

@@ -55,6 +55,11 @@ type WarmStartRow struct {
 	ColdMS  float64 `json:"cold_ms"`
 	WarmMS  float64 `json:"warm_ms"`
 	Speedup float64 `json:"speedup"`
+	// ColdProducts and WarmProducts are the closure's matrix products
+	// before the first answer: the work a warm start saves, counted
+	// rather than timed.
+	ColdProducts int `json:"cold_products"`
+	WarmProducts int `json:"warm_products"`
 }
 
 // RunWarmStart measures, per dataset, answering the first query (a) cold —
@@ -105,7 +110,7 @@ func RunWarmStart(cfg WarmStartConfig) ([]WarmStartRow, error) {
 		g := d.Build()
 
 		// Cold: the closure runs before the first answer.
-		var coldCount int
+		var coldCount, coldProducts int
 		bestCold := time.Duration(0)
 		for r := 0; r < repeats; r++ {
 			start := time.Now()
@@ -113,7 +118,11 @@ func RunWarmStart(cfg WarmStartConfig) ([]WarmStartRow, error) {
 			if err != nil {
 				return rows, err
 			}
-			coldCount = p.Count(ctx, "S")
+			res, err := p.Do(ctx, cfpq.Request{Nonterminal: "S", Output: cfpq.OutputCount})
+			if err != nil {
+				return rows, err
+			}
+			coldCount, coldProducts = res.Count, p.Stats().Build.Products
 			if dt := time.Since(start); bestCold == 0 || dt < bestCold {
 				bestCold = dt
 			}
@@ -158,7 +167,7 @@ func RunWarmStart(cfg WarmStartConfig) ([]WarmStartRow, error) {
 		}
 
 		// Warm: open the store, load the index, bind, answer.
-		var warmCount int
+		var warmCount, warmProducts int
 		bestWarm := time.Duration(0)
 		for r := 0; r < repeats; r++ {
 			start := time.Now()
@@ -186,7 +195,12 @@ func RunWarmStart(cfg WarmStartConfig) ([]WarmStartRow, error) {
 				st.Close()
 				return rows, err
 			}
-			warmCount = p.Count(ctx, "S")
+			res, err := p.Do(ctx, cfpq.Request{Nonterminal: "S", Output: cfpq.OutputCount})
+			if err != nil {
+				st.Close()
+				return rows, err
+			}
+			warmCount, warmProducts = res.Count, p.Stats().Build.Products
 			if err := st.Close(); err != nil {
 				return rows, err
 			}
@@ -198,17 +212,19 @@ func RunWarmStart(cfg WarmStartConfig) ([]WarmStartRow, error) {
 			return rows, fmt.Errorf("bench: %s: warm answer %d != cold answer %d", name, warmCount, coldCount)
 		}
 		rows = append(rows, WarmStartRow{
-			Scenario:   "warmstart",
-			Dataset:    name,
-			Grammar:    gramName,
-			Backend:    backendName,
-			Nodes:      g.Nodes(),
-			Edges:      g.EdgeCount(),
-			Entries:    entries,
-			IndexBytes: int64(buf.Len()),
-			ColdMS:     msFloat(bestCold),
-			WarmMS:     msFloat(bestWarm),
-			Speedup:    float64(bestCold) / float64(bestWarm),
+			Scenario:     "warmstart",
+			Dataset:      name,
+			Grammar:      gramName,
+			Backend:      backendName,
+			Nodes:        g.Nodes(),
+			Edges:        g.EdgeCount(),
+			Entries:      entries,
+			IndexBytes:   int64(buf.Len()),
+			ColdMS:       msFloat(bestCold),
+			WarmMS:       msFloat(bestWarm),
+			Speedup:      float64(bestCold) / float64(bestWarm),
+			ColdProducts: coldProducts,
+			WarmProducts: warmProducts,
 		})
 	}
 	return rows, nil

@@ -24,9 +24,11 @@ func TestRunWarmStart(t *testing.T) {
 	if r.Entries == 0 || r.IndexBytes == 0 || r.ColdMS <= 0 || r.WarmMS <= 0 {
 		t.Errorf("empty measurements: %+v", r)
 	}
-	// The whole point: loading an index beats re-running the closure.
-	if r.Speedup <= 1 {
-		t.Errorf("warm start slower than cold (%.2fx): %+v", r.Speedup, r)
+	// The whole point: loading an index skips the closure. Counted, not
+	// timed — two runs of a few milliseconds each are too noisy to gate on.
+	if r.ColdProducts <= 0 || r.WarmProducts != 0 {
+		t.Errorf("cold products = %d (want > 0), warm products = %d (want 0): %+v",
+			r.ColdProducts, r.WarmProducts, r)
 	}
 
 	var buf bytes.Buffer

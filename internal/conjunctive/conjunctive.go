@@ -297,12 +297,16 @@ func (r *Result) Has(nt string, i, j int) bool {
 // conjunctive rule contributes the intersection of its conjunct products.
 func Evaluate(g *graph.Graph, cg *Grammar, be matrix.Backend) (*Result, error) {
 	//lint:allow cfpqlint/ctxflow ctx-less convenience API kept for the paper-faithful surface; EvaluateContext is the ctx-aware path
-	return EvaluateContext(context.Background(), g, cg, be)
+	return EvaluateContext(context.Background(), g, cg, be, nil)
 }
 
 // EvaluateContext is Evaluate with cooperative cancellation between
-// fixpoint passes.
-func EvaluateContext(ctx context.Context, g *graph.Graph, cg *Grammar, be matrix.Backend) (*Result, error) {
+// fixpoint passes and an optional memory budget: budget, when non-nil, is
+// handed the estimated matrix bytes before the relation matrices are
+// allocated and before every pass — the relation matrices plus the
+// largest acc/prod working pair the previous pass held — and a non-nil
+// return aborts the evaluation with that error.
+func EvaluateContext(ctx context.Context, g *graph.Graph, cg *Grammar, be matrix.Backend, budget func(estimated int64) error) (*Result, error) {
 	nm, err := cg.compile()
 	if err != nil {
 		return nil, err
@@ -310,7 +314,13 @@ func EvaluateContext(ctx context.Context, g *graph.Graph, cg *Grammar, be matrix
 	if be == nil {
 		be = matrix.Sparse()
 	}
+	if budget == nil {
+		budget = func(int64) error { return nil }
+	}
 	n := g.Nodes()
+	if err := budget(int64(len(nm.names)) * be.EmptyBytes(n)); err != nil {
+		return nil, err
+	}
 	res := &Result{nm: nm, n: n, mats: make([]matrix.Bool, len(nm.names))}
 	for a := range res.mats {
 		res.mats[a] = be.NewMatrix(n)
@@ -322,11 +332,15 @@ func EvaluateContext(ctx context.Context, g *graph.Graph, cg *Grammar, be matrix
 			}
 		}
 	}
+	var working int64 // the largest acc+prod pair of the previous pass
 	for changed := true; changed; {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		changed = false
+		if err := budget(res.bytes() + working); err != nil {
+			return nil, err
+		}
+		changed, working = false, 0
 		for _, rule := range nm.rules {
 			acc := be.NewMatrix(n)
 			for ci, c := range rule.conjuncts {
@@ -339,6 +353,7 @@ func EvaluateContext(ctx context.Context, g *graph.Graph, cg *Grammar, be matrix
 					prod = be.NewMatrix(n)
 					prod.AddMul(res.mats[c[0]], res.mats[c[1]])
 				}
+				working = max(working, acc.Bytes()+prod.Bytes())
 				if ci == 0 {
 					acc.Or(prod)
 				} else {
@@ -351,6 +366,15 @@ func EvaluateContext(ctx context.Context, g *graph.Graph, cg *Grammar, be matrix
 		}
 	}
 	return res, nil
+}
+
+// bytes estimates the heap bytes of the relation matrices.
+func (r *Result) bytes() int64 {
+	var total int64
+	for _, m := range r.mats {
+		total += m.Bytes()
+	}
+	return total
 }
 
 // Recognize reports whether the word derives from start under the

@@ -30,7 +30,8 @@ func (e *MemoryBudgetError) Error() string {
 // passes, and a breach aborts the evaluation with a *MemoryBudgetError.
 // bytes ≤ 0 means unlimited (the default). The budget is enforced on the
 // context-taking evaluation paths (RunContext, CloseContext,
-// RunFromContext, UpdateContext and everything built on them).
+// RunFromContext, UpdateContext and everything built on them) and, through
+// CheckBudget, on conjunctive evaluations.
 func WithMemoryBudget(bytes int64) Option {
 	return func(e *Engine) { e.budget = bytes }
 }
@@ -44,9 +45,10 @@ func (ix *Index) Bytes() int64 {
 	return total
 }
 
-// checkBudget returns a *MemoryBudgetError when estimated bytes exceed
-// the engine's budget; a zero or negative budget never fails.
-func (e *Engine) checkBudget(estimated int64) error {
+// CheckBudget returns a *MemoryBudgetError when estimated bytes exceed
+// the engine's budget; a zero or negative budget never fails. Evaluators
+// outside this package (conjunctive grammars) enforce the budget with it.
+func (e *Engine) CheckBudget(estimated int64) error {
 	if e.budget > 0 && estimated > e.budget {
 		return &MemoryBudgetError{BudgetBytes: e.budget, EstimatedBytes: estimated}
 	}

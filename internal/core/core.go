@@ -341,7 +341,7 @@ func (e *Engine) Run(g *graph.Graph, cnf *grammar.CNF) (*Index, Stats) {
 // an instance whose empty index alone breaches the budget is rejected
 // before any matrix is allocated.
 func (e *Engine) RunContext(ctx context.Context, g *graph.Graph, cnf *grammar.CNF) (*Index, Stats, error) {
-	if err := e.checkBudget(int64(cnf.NonterminalCount()) * e.backend.EmptyBytes(g.Nodes())); err != nil {
+	if err := e.CheckBudget(int64(cnf.NonterminalCount()) * e.backend.EmptyBytes(g.Nodes())); err != nil {
 		return nil, Stats{}, err
 	}
 	start := time.Now()

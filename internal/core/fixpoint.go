@@ -36,7 +36,7 @@ func (e *Engine) fixpoint(ctx context.Context, ix *Index, pt *passTracer, s sche
 		}
 		est := s.bytes()
 		stats.observePeak(est)
-		if err := e.checkBudget(est); err != nil {
+		if err := e.CheckBudget(est); err != nil {
 			return stats, err
 		}
 		if s.idle != nil && s.idle() {

@@ -70,7 +70,7 @@ func (e *Engine) RunFromContext(ctx context.Context, g *graph.Graph, cnf *gramma
 	nn := cnf.NonterminalCount()
 	// Pre-allocation budget check: the restricted closure starts with the
 	// index matrices plus an equal set of delta matrices.
-	if err := e.checkBudget(2 * int64(nn) * e.backend.EmptyBytes(n)); err != nil {
+	if err := e.CheckBudget(2 * int64(nn) * e.backend.EmptyBytes(n)); err != nil {
 		return nil, FromStats{}, err
 	}
 	start := time.Now()

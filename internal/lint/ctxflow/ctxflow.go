@@ -6,9 +6,10 @@
 //     non-test packages. A library call that manufactures its own root
 //     context swallows the caller's cancellation and deadline — the bug
 //     this repo's Prepared sugar methods shipped with until cfpqlint
-//     caught them. Deliberate ctx-less convenience wrappers (the
-//     deprecated one-shot API) carry //lint:allow suppressions stating
-//     why no caller context exists.
+//     caught them. Deliberate ctx-less entry points (the paper-faithful
+//     convenience functions in internal/core and internal/conjunctive,
+//     and the bench harness) carry //lint:allow suppressions stating why
+//     no caller context exists.
 //
 //  2. An exported function or method that accepts a context.Context must
 //     use it. Accepting ctx and dropping it on the floor is worse than

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -86,25 +87,25 @@ func TestServiceQueryBatchRegistryErrors(t *testing.T) {
 	}
 }
 
-func TestServiceRelationFromAndCountFrom(t *testing.T) {
+func TestServiceDoSources(t *testing.T) {
 	s := socialService(t)
-	pairs, err := s.RelationFrom(ctx, target(), "Knows", []string{"carol"})
+	ans, err := s.Do(ctx, QueryRequest{Graph: "social", Grammar: "reach", Nonterminal: "Knows", Sources: []string{"carol"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := []NamedPair{{From: "carol", To: "dora"}}
-	if !reflect.DeepEqual(pairs, want) {
-		t.Errorf("RelationFrom carol = %v, want %v", pairs, want)
+	if !reflect.DeepEqual(ans.Pairs, want) {
+		t.Errorf("pairs from carol = %v, want %v", ans.Pairs, want)
 	}
-	n, err := s.CountFrom(ctx, target(), "Knows", []string{"alice", "bob"})
+	ans, err = s.Do(ctx, QueryRequest{Graph: "social", Grammar: "reach", Nonterminal: "Knows", Output: "count", Sources: []string{"alice", "bob"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != 5 {
-		t.Errorf("CountFrom alice,bob = %d, want 5", n)
+	if *ans.Count != 5 {
+		t.Errorf("count from alice,bob = %d, want 5", *ans.Count)
 	}
-	if _, err := s.RelationFrom(ctx, target(), "Knows", []string{"nobody"}); err == nil {
-		t.Error("unknown source: expected error")
+	if _, err := s.Do(ctx, QueryRequest{Graph: "social", Grammar: "reach", Nonterminal: "Knows", Sources: []string{"nobody"}}); !errors.Is(err, ErrNotFound) {
+		t.Errorf("unknown source: err = %v, want ErrNotFound", err)
 	}
 }
 

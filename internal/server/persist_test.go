@@ -96,7 +96,7 @@ func TestPersistRoundTripAllBackends(t *testing.T) {
 				t.Fatal(err)
 			}
 			target := Target{Graph: "onto", Grammar: "q1", Backend: be.Name()}
-			before, err := s.Relation(ctx, target, "S")
+			before, err := doRelation(ctx, s, target, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -109,7 +109,7 @@ func TestPersistRoundTripAllBackends(t *testing.T) {
 			if _, err := s.AddEdges(ctx, "onto", added); err != nil {
 				t.Fatal(err)
 			}
-			want, err := s.Relation(ctx, target, "S")
+			want, err := doRelation(ctx, s, target, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -120,7 +120,7 @@ func TestPersistRoundTripAllBackends(t *testing.T) {
 			if n := s2.Metrics().WarmStarts; n != 1 {
 				t.Fatalf("WarmStarts = %d, want 1", n)
 			}
-			got, err := s2.Relation(ctx, target, "S")
+			got, err := doRelation(ctx, s2, target, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestPersistRoundTripAllBackends(t *testing.T) {
 			if err := fresh.RegisterGrammar("q1", queryGrammar); err != nil {
 				t.Fatal(err)
 			}
-			oracle, err := fresh.Relation(ctx, target, "S")
+			oracle, err := doRelation(ctx, fresh, target, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,7 +188,7 @@ func TestPersistSnapshotRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := Target{Graph: "g", Grammar: "q"}
-	if _, err := s.Relation(ctx, target, "S"); err != nil {
+	if _, err := doRelation(ctx, s, target, "S"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AddEdges(ctx, "g", []EdgeSpec{{From: "a", Label: "x", To: "d"}}); err != nil {
@@ -201,13 +201,13 @@ func TestPersistSnapshotRestart(t *testing.T) {
 	if _, err := s.AddEdges(ctx, "g", []EdgeSpec{{From: "d", Label: "y", To: "c"}}); err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Relation(ctx, target, "S")
+	want, err := doRelation(ctx, s, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	s2 := reopen(t, s, dir)
-	got, err := s2.Relation(ctx, target, "S")
+	got, err := doRelation(ctx, s2, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,11 +284,11 @@ func TestPersistTornWALRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := Target{Graph: "g", Grammar: "q"}
-	got, err := s2.Relation(ctx, target, "S")
+	got, err := doRelation(ctx, s2, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := want.Relation(ctx, target, "S")
+	oracle, err := doRelation(ctx, want, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestPersistCompactionThenRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := Target{Graph: "g", Grammar: "q"}
-	if _, err := s.Relation(ctx, target, "S"); err != nil {
+	if _, err := doRelation(ctx, s, target, "S"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.AddEdges(ctx, "g", []EdgeSpec{{From: "2", Label: "x", To: "0"}}); err != nil {
@@ -322,7 +322,7 @@ func TestPersistCompactionThenRestart(t *testing.T) {
 	if err := s.store.Compact("g"); err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.Relation(ctx, target, "S")
+	want, err := doRelation(ctx, s, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestPersistCompactionThenRestart(t *testing.T) {
 	if n := s2.Metrics().WarmStarts; n != 1 {
 		t.Fatalf("WarmStarts = %d, want 1 (repair path)", n)
 	}
-	got, err := s2.Relation(ctx, target, "S")
+	got, err := doRelation(ctx, s2, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +355,7 @@ func TestPersistGrammarReplacementDropsIndexes(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := Target{Graph: "g", Grammar: "q"}
-	if _, err := s.Relation(ctx, target, "S"); err != nil {
+	if _, err := doRelation(ctx, s, target, "S"); err != nil {
 		t.Fatal(err)
 	}
 	// Same non-terminal set, different language: the saved index would
@@ -368,7 +368,7 @@ func TestPersistGrammarReplacementDropsIndexes(t *testing.T) {
 	if n := s2.Metrics().WarmStarts; n != 0 {
 		t.Fatalf("stale index warm-started after grammar replacement (%d)", n)
 	}
-	got, err := s2.Relation(ctx, target, "S")
+	got, err := doRelation(ctx, s2, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +419,7 @@ func TestPersistManyGrammarsAndBackends(t *testing.T) {
 	}
 	want := map[string]int{}
 	for _, tg := range targets {
-		n, err := s.Count(ctx, tg, "S")
+		n, err := doCount(ctx, s, tg, "S")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -431,7 +431,7 @@ func TestPersistManyGrammarsAndBackends(t *testing.T) {
 		t.Fatalf("WarmStarts = %d, want %d", n, len(targets))
 	}
 	for _, tg := range targets {
-		n, err := s2.Count(ctx, tg, "S")
+		n, err := doCount(ctx, s2, tg, "S")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -553,7 +553,7 @@ func TestPersistConcurrentUpdatesAndSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := Target{Graph: "g", Grammar: "q"}
-	if _, err := s.Relation(ctx, target, "S"); err != nil {
+	if _, err := doRelation(ctx, s, target, "S"); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -582,14 +582,14 @@ func TestPersistConcurrentUpdatesAndSnapshots(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, err := s.Count(ctx, target, "S"); err != nil {
+			if _, err := doCount(ctx, s, target, "S"); err != nil {
 				t.Error(err)
 				return
 			}
 		}
 	}()
 	wg.Wait()
-	want, err := s.Relation(ctx, target, "S")
+	want, err := doRelation(ctx, s, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -608,7 +608,7 @@ func TestPersistConcurrentUpdatesAndSnapshots(t *testing.T) {
 	if ge.g.EdgeCount() != wantEdges {
 		t.Fatalf("recovered %d edges, want %d", ge.g.EdgeCount(), wantEdges)
 	}
-	got, err := s2.Relation(ctx, target, "S")
+	got, err := doRelation(ctx, s2, target, "S")
 	if err != nil {
 		t.Fatal(err)
 	}

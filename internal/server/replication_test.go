@@ -153,11 +153,11 @@ func TestLeaderFollowerReplication(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return caughtUp(f, leader, "social") }, "initial sync")
 
 	tgt := Target{Graph: "social", Grammar: "reach"}
-	want, err := leader.Relation(ctx, tgt, "S")
+	want, err := doRelation(ctx, leader, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.svc.Relation(ctx, tgt, "S")
+	got, err := doRelation(ctx, f.svc, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +176,11 @@ func TestLeaderFollowerReplication(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, 10*time.Second, func() bool { return caughtUp(f, leader, "social") }, "live tail")
-	want, err = leader.Relation(ctx, tgt, "S")
+	want, err = doRelation(ctx, leader, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err = f.svc.Relation(ctx, tgt, "S")
+	got, err = doRelation(ctx, f.svc, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestPartitionTolerance(t *testing.T) {
 
 			// Build the follower's index now so the restart warm-starts it.
 			tgt := Target{Graph: "social", Grammar: "reach"}
-			if _, err := f.svc.Relation(ctx, tgt, "S"); err != nil {
+			if _, err := doRelation(ctx, f.svc, tgt, "S"); err != nil {
 				t.Fatal(err)
 			}
 
@@ -273,11 +273,11 @@ func TestPartitionTolerance(t *testing.T) {
 			f2 := startFollower(t, reopen(t, f.svc, fdir), srv.URL, "f1")
 			waitFor(t, 10*time.Second, func() bool { return caughtUp(f2, leader, "social") }, "catch-up after restart")
 
-			want, err := leader.Relation(ctx, tgt, "S")
+			want, err := doRelation(ctx, leader, tgt, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := f2.svc.Relation(ctx, tgt, "S")
+			got, err := doRelation(ctx, f2.svc, tgt, "S")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -326,11 +326,11 @@ func TestCompactionRacingFollower(t *testing.T) {
 	waitFor(t, 10*time.Second, func() bool { return caughtUp(f, leader, "social") }, "convergence under compaction")
 
 	tgt := Target{Graph: "social", Grammar: "reach"}
-	want, err := leader.Relation(ctx, tgt, "S")
+	want, err := doRelation(ctx, leader, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.svc.Relation(ctx, tgt, "S")
+	got, err := doRelation(ctx, f.svc, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -643,49 +643,10 @@ func checkNonterminal(p *cfpq.Prepared, nt string) error {
 	return nil
 }
 
-// Has reports whether (from, to) is in R_nt on the target. from and to are
-// node names (or decimal ids). A shim over Do.
-func (s *Service) Has(ctx context.Context, t Target, nt, from, to string) (bool, error) {
-	ans, err := s.Do(ctx, QueryRequest{
-		Graph: t.Graph, Grammar: t.Grammar, Backend: t.Backend,
-		Nonterminal: nt, Output: string(cfpq.OutputExists),
-		Sources: []string{from}, Targets: []string{to},
-	})
-	if err != nil {
-		return false, err
-	}
-	return *ans.Exists, nil
-}
-
 // NamedPair is one relation element with node names resolved.
 type NamedPair struct {
 	From string `json:"from"`
 	To   string `json:"to"`
-}
-
-// Relation returns R_nt on the target as (from, to) node-name pairs in
-// row-major node order. Names come from the registry graph the index was
-// built from. A shim over Do.
-func (s *Service) Relation(ctx context.Context, t Target, nt string) ([]NamedPair, error) {
-	ans, err := s.Do(ctx, QueryRequest{
-		Graph: t.Graph, Grammar: t.Grammar, Backend: t.Backend, Nonterminal: nt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ans.Pairs, nil
-}
-
-// Count returns |R_nt| on the target. A shim over Do.
-func (s *Service) Count(ctx context.Context, t Target, nt string) (int, error) {
-	ans, err := s.Do(ctx, QueryRequest{
-		Graph: t.Graph, Grammar: t.Grammar, Backend: t.Backend,
-		Nonterminal: nt, Output: string(cfpq.OutputCount),
-	})
-	if err != nil {
-		return 0, err
-	}
-	return *ans.Count, nil
 }
 
 // Counts returns |R_A| for every non-terminal A of the target's grammar —
@@ -698,43 +659,6 @@ func (s *Service) Counts(ctx context.Context, t Target) (map[string]int, error) 
 	}
 	s.countStrategy(cfpq.StrategyCachedRead, 1)
 	return p.Counts(), nil
-}
-
-// RelationFrom returns the pairs of R_nt whose source node is in sources
-// (node names or decimal ids), answered from the cached index. A shim
-// over Do.
-func (s *Service) RelationFrom(ctx context.Context, t Target, nt string, sources []string) ([]NamedPair, error) {
-	ans, err := s.Do(ctx, QueryRequest{
-		Graph: t.Graph, Grammar: t.Grammar, Backend: t.Backend,
-		Nonterminal: nt, Sources: nonNilTokens(sources),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ans.Pairs, nil
-}
-
-// CountFrom returns the number of R_nt pairs whose source node is in
-// sources (node names or decimal ids). A shim over Do.
-func (s *Service) CountFrom(ctx context.Context, t Target, nt string, sources []string) (int, error) {
-	ans, err := s.Do(ctx, QueryRequest{
-		Graph: t.Graph, Grammar: t.Grammar, Backend: t.Backend,
-		Nonterminal: nt, Output: string(cfpq.OutputCount), Sources: nonNilTokens(sources),
-	})
-	if err != nil {
-		return 0, err
-	}
-	return *ans.Count, nil
-}
-
-// nonNilTokens keeps the legacy *From semantics: a nil source list meant
-// "no sources" (an empty answer), while a QueryRequest reads nil as
-// unrestricted.
-func nonNilTokens(tokens []string) []string {
-	if tokens == nil {
-		return []string{}
-	}
-	return tokens
 }
 
 // --- batched queries --------------------------------------------------
@@ -847,10 +771,10 @@ func specRequest(ge *graphEntry, op string, spec BatchQuerySpec) (cfpq.Request, 
 		return req, nil
 	case "count", "relation", "count-from", "relation-from":
 		sources := spec.Sources
-		if op == "count-from" || op == "relation-from" {
-			// The -from ops historically read a missing source list as "no
-			// sources" (an empty answer), not as unrestricted.
-			sources = nonNilTokens(sources)
+		if sources == nil && (op == "count-from" || op == "relation-from") {
+			// The -from ops read a missing source list as "no sources" (an
+			// empty answer), while a QueryRequest reads nil as unrestricted.
+			sources = []string{}
 		}
 		var err error
 		if req.Sources, err = resolveRestrictionLocked(ge, sources); err != nil {

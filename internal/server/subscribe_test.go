@@ -59,7 +59,7 @@ func TestServiceSubscribeLifecycle(t *testing.T) {
 	}
 	defer ss.Close()
 	tgt := Target{Graph: "social", Grammar: "reach"}
-	before, err := s.Relation(ctx, tgt, "S")
+	before, err := doRelation(ctx, s, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestServiceSubscribeLifecycle(t *testing.T) {
 	if _, err := s.AddEdges(ctx, "social", []EdgeSpec{{From: "dave", Label: "knows", To: "alice"}}); err != nil {
 		t.Fatal(err)
 	}
-	after, err := s.Relation(ctx, tgt, "S")
+	after, err := doRelation(ctx, s, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestFollowerSubscriptionPush(t *testing.T) {
 	}
 	defer ss.Close()
 	tgt := Target{Graph: "social", Grammar: "reach"}
-	initial, err := f.svc.Relation(ctx, tgt, "S")
+	initial, err := doRelation(ctx, f.svc, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestFollowerSubscriptionPush(t *testing.T) {
 	}
 	waitFor(t, 10*time.Second, func() bool { return caughtUp(f, leader, "social") }, "live tail")
 
-	final, err := f.svc.Relation(ctx, tgt, "S")
+	final, err := doRelation(ctx, f.svc, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,7 +504,7 @@ func TestFollowerSubscriptionPush(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 	// And the follower agrees with the leader, as ever.
-	want2, err := leader.Relation(ctx, tgt, "S")
+	want2, err := doRelation(ctx, leader, tgt, "S")
 	if err != nil {
 		t.Fatal(err)
 	}

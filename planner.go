@@ -22,15 +22,15 @@ import (
 // — then shapes the answer to the requested Output. Result.Explain records
 // the choice; Result.Stats the closure work performed.
 //
-// Do is the one evaluation entry point of the engine: Query, QueryFrom,
-// RPQ, QueryConjunctive and QueryBatch are sugar over it. For repeated
-// requests against one (graph, grammar) pair, Prepare a handle and use
-// Prepared.Do, which answers from the cached index instead.
+// Do is the one evaluation entry point of the engine; QueryBatch is built
+// on it. For repeated requests against one (graph, grammar) pair, Prepare
+// a handle and use Prepared.Do, which answers from the cached index
+// instead.
 //
 // Restriction nodes outside [0, Graph.Nodes()) are an error — evaluating
 // from scratch, a node the graph does not have is a caller mistake, not an
-// empty answer. (Prepared.Do, reading a cached index, mirrors the historic
-// read-method behaviour and ignores them.)
+// empty answer. (Prepared.Do, reading a cached index whose graph may grow
+// concurrently, ignores them.)
 func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -50,9 +50,6 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 		}
 	}
 	cfg := buildConfig(req.Options)
-	if req.EmptyPaths {
-		cfg.emptyPaths = true
-	}
 
 	// Request.Trace: collect the evaluation's per-pass events through a
 	// context-attached trace and hand them back on Result.Explain.Passes.
@@ -87,7 +84,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 		rpqPrefix = "RPQ compiled to a right-linear grammar; "
 		if !gram.HasNonterminal(start) {
 			// Degenerate expression: the language is empty or {ε}.
-			return degenerateRPQ(req, cfg, nfa, n), nil
+			return degenerateRPQ(req, nfa, n), nil
 		}
 	}
 	if gram == nil {
@@ -98,7 +95,7 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 		return finish(e.doPaths(ctx, cfg, req, gram, start))
 	}
 
-	pairs, ex, stats, err := e.planRelational(ctx, cfg, req.Graph, gram, start, req.Sources, req.Targets)
+	pairs, ex, stats, err := e.planRelational(ctx, cfg, req.Graph, gram, start, req.Sources, req.Targets, req.EmptyPaths)
 	if err != nil {
 		return nil, err
 	}
@@ -108,8 +105,8 @@ func (e *Engine) Do(ctx context.Context, req Request) (*Result, error) {
 
 // planRelational runs the strategy selection for exists/count/pairs
 // outputs and returns the restricted pair relation, sorted row-major.
-func (e *Engine) planRelational(ctx context.Context, cfg *config, g *Graph, gram *Grammar, start string, sources, targets []int) ([]Pair, Explain, Stats, error) {
-	qopts := core.QueryOptions{IncludeEmptyPaths: cfg.emptyPaths}
+func (e *Engine) planRelational(ctx context.Context, cfg *config, g *Graph, gram *Grammar, start string, sources, targets []int, emptyPaths bool) ([]Pair, Explain, Stats, error) {
+	qopts := core.QueryOptions{IncludeEmptyPaths: emptyPaths}
 	switch {
 	case sources == nil && targets == nil:
 		pairs, stats, err := e.newCore(cfg).QueryStatsContext(ctx, g, gram, start, qopts)
@@ -213,10 +210,11 @@ func (e *Engine) doPaths(ctx context.Context, cfg *config, req Request, gram *Gr
 
 // doConjunctive answers a conjunctive-grammar request: conjunctive
 // evaluation has no restricted variant, so the plan is always the full
-// closure with post-hoc filtering.
+// closure with post-hoc filtering. The memory budget governs it like any
+// other closure.
 func (e *Engine) doConjunctive(ctx context.Context, cfg *config, req Request) (*Result, error) {
 	start := time.Now()
-	res, err := conjunctive.EvaluateContext(ctx, req.Graph, req.Conjunctive, e.resolveBackend(cfg).mat())
+	res, err := conjunctive.EvaluateContext(ctx, req.Graph, req.Conjunctive, e.backend.mat(), e.newCore(cfg).CheckBudget)
 	if err != nil {
 		return nil, err
 	}
@@ -230,9 +228,9 @@ func (e *Engine) doConjunctive(ctx context.Context, cfg *config, req Request) (*
 
 // degenerateRPQ answers an expression whose language is empty or {ε} —
 // the compiled grammar has no start non-terminal to query.
-func degenerateRPQ(req Request, cfg *config, nfa *rpq.NFA, n int) *Result {
+func degenerateRPQ(req Request, nfa *rpq.NFA, n int) *Result {
 	var pairs []Pair
-	if nfa.AcceptsEmpty && cfg.emptyPaths {
+	if nfa.AcceptsEmpty && req.EmptyPaths {
 		pairs = filterPairs(rpq.ReflexivePairs(n), req.Sources, req.Targets)
 	}
 	ex := Explain{

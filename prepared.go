@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"iter"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -78,9 +77,11 @@ func (p *Prepared) Nodes() int {
 //
 // Unlike Engine.Do (which rejects restriction nodes the graph does not
 // have — a caller mistake when evaluating from scratch), restriction
-// nodes outside the index's node range simply contribute no pairs,
-// mirroring the handle's historic read methods under concurrent graph
-// growth. Unknown non-terminals are an error.
+// nodes outside the index's node range simply contribute no pairs: the
+// bound graph grows under concurrent AddEdges, and a caller (the server
+// resolves node names against its own registry graph) may name a node
+// the snapshot this read sees does not have yet. Unknown non-terminals
+// are an error.
 //
 // The returned Result's Pairs/Paths stream a point-in-time snapshot
 // materialised under the read lock, so iterating them needs no lock and
@@ -267,120 +268,12 @@ func (p *Prepared) pairsLocked(nt string, sources, targets []int, limit int) []P
 	return out
 }
 
-// Has reports whether (i, j) ∈ R_nt. Unknown non-terminals,
-// out-of-range nodes and a cancelled ctx answer false. Sugar for an
-// OutputExists Request.
-func (p *Prepared) Has(ctx context.Context, nt string, i, j int) bool {
-	res, err := p.Do(ctx, Request{
-		Nonterminal: nt, Sources: []int{i}, Targets: []int{j}, Output: OutputExists,
-	})
-	return err == nil && res.Exists
-}
-
-// Count returns |R_nt|. Sugar for an OutputCount Request.
-func (p *Prepared) Count(ctx context.Context, nt string) int {
-	res, err := p.Do(ctx, Request{Nonterminal: nt, Output: OutputCount})
-	if err != nil {
-		return 0
-	}
-	return res.Count
-}
-
 // Counts returns |R_A| for every non-terminal A, keyed by name.
 func (p *Prepared) Counts() map[string]int {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	p.queries.Add(1)
 	return p.ix.Counts()
-}
-
-// Relation returns R_nt as a sorted pair list. Sugar for an OutputPairs
-// Request; Pairs streams the same materialised snapshot.
-func (p *Prepared) Relation(ctx context.Context, nt string) []Pair {
-	res, err := p.Do(ctx, Request{Nonterminal: nt})
-	if err != nil {
-		return nil
-	}
-	return res.AllPairs()
-}
-
-// Pairs streams R_nt in row-major order. The sequence is a point-in-time
-// snapshot taken under the read lock; iteration itself holds no lock, so
-// (unlike earlier versions of this API) methods of this Prepared may be
-// called from inside the loop. Sugar for an OutputPairs Request.
-func (p *Prepared) Pairs(ctx context.Context, nt string) iter.Seq[Pair] {
-	res, err := p.Do(ctx, Request{Nonterminal: nt})
-	if err != nil {
-		return func(func(Pair) bool) {}
-	}
-	return res.Pairs()
-}
-
-// RelationFrom returns the pairs of R_nt whose first component is one of
-// the given source nodes, in row-major order — the cached-index answer to
-// the single-/few-source question Engine.QueryFrom evaluates from scratch.
-// Out-of-range sources contribute nothing. Sugar for a source-restricted
-// OutputPairs Request.
-func (p *Prepared) RelationFrom(ctx context.Context, nt string, sources []int) []Pair {
-	res, err := p.Do(ctx, Request{Nonterminal: nt, Sources: nonNilNodes(sources)})
-	if err != nil {
-		return nil
-	}
-	return res.AllPairs()
-}
-
-// CountFrom returns the number of pairs of R_nt whose first component is
-// one of the given source nodes. Sugar for a source-restricted
-// OutputCount Request.
-func (p *Prepared) CountFrom(ctx context.Context, nt string, sources []int) int {
-	res, err := p.Do(ctx, Request{
-		Nonterminal: nt, Sources: nonNilNodes(sources), Output: OutputCount,
-	})
-	if err != nil {
-		return 0
-	}
-	return res.Count
-}
-
-// PairsFrom streams the pairs of R_nt whose first component is one of the
-// given source nodes, in row-major order — a point-in-time snapshot, like
-// Pairs. Sugar for a source-restricted OutputPairs Request.
-func (p *Prepared) PairsFrom(ctx context.Context, nt string, sources []int) iter.Seq[Pair] {
-	res, err := p.Do(ctx, Request{Nonterminal: nt, Sources: nonNilNodes(sources)})
-	if err != nil {
-		return func(func(Pair) bool) {}
-	}
-	return res.Pairs()
-}
-
-// Paths yields distinct paths witnessing (nt, i, j) in nondecreasing
-// length order, bounded by opts. The bounded enumeration runs up front
-// (path extraction needs a consistent index), so breaking early saves only
-// the consumer's work; keep MaxPaths tight. Sugar for an OutputPaths
-// Request.
-func (p *Prepared) Paths(ctx context.Context, nt string, i, j int, opts AllPathsOptions) iter.Seq[[]Edge] {
-	res, err := p.Do(ctx, Request{
-		Nonterminal: nt, Sources: []int{i}, Targets: []int{j}, Output: OutputPaths,
-		Limit: opts.MaxPaths, MaxPathLength: opts.MaxLength,
-	})
-	if err != nil {
-		return func(func([]Edge) bool) {}
-	}
-	return res.Paths()
-}
-
-// nonNilNodes normalises a restriction list for the sugar methods: they
-// historically treated nil as "no sources" (an empty answer), while a
-// Request reads nil as unrestricted, and they silently ignored negative
-// ids, which a Request rejects.
-func nonNilNodes(nodes []int) []int {
-	out := make([]int, 0, len(nodes))
-	for _, v := range nodes {
-		if v >= 0 {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // UpdateInfo reports what one AddEdges call did.

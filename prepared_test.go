@@ -18,6 +18,22 @@ func mustPrepare(t *testing.T, eng *Engine, g *Graph, text string) *Prepared {
 	return p
 }
 
+// mustRead answers req from the handle's cached index.
+func mustRead(t *testing.T, p *Prepared, req Request) *Result {
+	t.Helper()
+	res, err := p.Do(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// exists asks whether (i, j) ∈ R_S on the handle.
+func exists(t *testing.T, p *Prepared, i, j int) bool {
+	t.Helper()
+	return mustRead(t, p, Request{Nonterminal: "S", Sources: []int{i}, Targets: []int{j}, Output: OutputExists}).Exists
+}
+
 func TestPreparedBasics(t *testing.T) {
 	g := NewGraph(0)
 	g.AddEdge(0, "a", 1)
@@ -26,41 +42,49 @@ func TestPreparedBasics(t *testing.T) {
 	g.AddEdge(3, "b", 4)
 	p := mustPrepare(t, NewEngine(Sparse), g, "S -> a S b | a b")
 
-	if !p.Has(context.Background(), "S", 1, 3) || !p.Has(context.Background(), "S", 0, 4) {
+	if !exists(t, p, 1, 3) || !exists(t, p, 0, 4) {
 		t.Error("expected pairs missing")
 	}
-	if p.Has(context.Background(), "S", 0, 1) || p.Has(context.Background(), "S", -1, 0) || p.Has(context.Background(), "S", 0, 99) || p.Has(context.Background(), "Nope", 0, 1) {
+	// A restriction node beyond the cached index contributes no pairs.
+	if exists(t, p, 0, 1) || exists(t, p, 0, 99) {
 		t.Error("unexpected pair answered true")
 	}
-	if n := p.Count(context.Background(), "S"); n != 2 {
+	if _, err := p.Do(context.Background(), Request{Nonterminal: "Nope", Output: OutputExists}); err == nil {
+		t.Error("unknown non-terminal: expected an error")
+	}
+	var rerr *RequestError
+	if _, err := p.Do(context.Background(), Request{Nonterminal: "S", Sources: []int{-1}}); !errors.As(err, &rerr) {
+		t.Errorf("negative source: err = %v, want a *RequestError", err)
+	}
+	if n := mustRead(t, p, Request{Nonterminal: "S", Output: OutputCount}).Count; n != 2 {
 		t.Errorf("Count = %d, want 2", n)
 	}
 	if c := p.Counts(); c["S"] != 2 {
 		t.Errorf("Counts = %v", c)
 	}
 	want := []Pair{{I: 0, J: 4}, {I: 1, J: 3}}
-	if rel := p.Relation(context.Background(), "S"); !reflect.DeepEqual(rel, want) {
+	res := mustRead(t, p, Request{Nonterminal: "S"})
+	if rel := res.AllPairs(); !reflect.DeepEqual(rel, want) {
 		t.Errorf("Relation = %v, want %v", rel, want)
 	}
 
 	// Streaming agrees with the materialised relation, and early break
-	// releases the lock (the follow-up Count would deadlock otherwise).
+	// holds no lock (the follow-up read would deadlock otherwise).
 	var streamed []Pair
-	for pr := range p.Pairs(context.Background(), "S") {
+	for pr := range res.Pairs() {
 		streamed = append(streamed, pr)
 	}
 	if !reflect.DeepEqual(streamed, want) {
 		t.Errorf("Pairs = %v, want %v", streamed, want)
 	}
-	for range p.Pairs(context.Background(), "S") {
+	for range res.Pairs() {
+		mustRead(t, p, Request{Nonterminal: "S", Output: OutputCount})
 		break
 	}
-	_ = p.Count(context.Background(), "S")
 
-	var paths [][]Edge
-	for path := range p.Paths(context.Background(), "S", 1, 3, AllPathsOptions{MaxPaths: 4}) {
-		paths = append(paths, path)
-	}
+	paths := mustRead(t, p, Request{
+		Nonterminal: "S", Sources: []int{1}, Targets: []int{3}, Output: OutputPaths, Limit: 4,
+	}).AllPaths()
 	if len(paths) != 1 || len(paths[0]) != 2 {
 		t.Errorf("Paths = %v", paths)
 	}
@@ -109,7 +133,7 @@ func TestPreparedPatchAgreesWithColdRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := p.Relation(context.Background(), "S"), cold.Relation("S"); !reflect.DeepEqual(got, want) {
+		if got, want := mustRead(t, p, Request{Nonterminal: "S"}).AllPairs(), cold.Relation("S"); !reflect.DeepEqual(got, want) {
 			t.Fatalf("batch %d: patched relation %v != cold rebuild %v", bi, got, want)
 		}
 	}
@@ -155,17 +179,22 @@ func TestPreparedConcurrentQueriesRaceUpdates(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			<-start
+			reqs := []Request{
+				{Nonterminal: "S", Sources: []int{0}, Targets: []int{2 * k}, Output: OutputExists},
+				{Nonterminal: "S", Output: OutputCount},
+				{Nonterminal: "S"},
+			}
 			for i := 0; i < 50; i++ {
-				switch i % 4 {
-				case 0:
-					p.Has(context.Background(), "S", 0, 2*k)
-				case 1:
-					p.Count(context.Background(), "S")
-				case 2:
-					for range p.Pairs(context.Background(), "S") {
-					}
-				case 3:
+				if i%4 == 3 {
 					p.Counts()
+					continue
+				}
+				res, err := p.Do(context.Background(), reqs[i%4])
+				if err != nil {
+					errs <- fmt.Errorf("reader %d: %w", r, err)
+					return
+				}
+				for range res.Pairs() {
 				}
 			}
 		}(r)
@@ -186,10 +215,10 @@ func TestPreparedConcurrentQueriesRaceUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := p.Count(context.Background(), "S"), cold.Count("S"); got != want {
+	if got, want := mustRead(t, p, Request{Nonterminal: "S", Output: OutputCount}).Count, cold.Count("S"); got != want {
 		t.Fatalf("post-race Count = %d, cold rebuild = %d", got, want)
 	}
-	if !reflect.DeepEqual(p.Relation(context.Background(), "S"), cold.Relation("S")) {
+	if !reflect.DeepEqual(mustRead(t, p, Request{Nonterminal: "S"}).AllPairs(), cold.Relation("S")) {
 		t.Fatal("post-race relation disagrees with cold rebuild")
 	}
 }
@@ -224,8 +253,8 @@ func TestPreparedCancelledPatchRepairs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p.Relation(context.Background(), "S"), cold.Relation("S")) {
-		t.Fatalf("repaired relation %v != cold rebuild %v", p.Relation(context.Background(), "S"), cold.Relation("S"))
+	if got := mustRead(t, p, Request{Nonterminal: "S"}).AllPairs(); !reflect.DeepEqual(got, cold.Relation("S")) {
+		t.Fatalf("repaired relation %v != cold rebuild %v", got, cold.Relation("S"))
 	}
 }
 
@@ -264,7 +293,7 @@ func TestPreparedAttachWALTeesFreshEdges(t *testing.T) {
 	if len(wal.batches) != 1 || !reflect.DeepEqual(wal.batches[0], []Edge{fresh}) {
 		t.Fatalf("journaled %v, want [[%v]]", wal.batches, fresh)
 	}
-	if !p.Has(context.Background(), "S", 0, 2) {
+	if !exists(t, p, 0, 2) {
 		t.Error("patch missing after journaled AddEdges")
 	}
 
@@ -307,7 +336,7 @@ func TestPrepareFromIndexWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(warm.Relation(context.Background(), "S"), cold.Relation(context.Background(), "S")) {
+	if !reflect.DeepEqual(mustRead(t, warm, Request{Nonterminal: "S"}).AllPairs(), mustRead(t, cold, Request{Nonterminal: "S"}).AllPairs()) {
 		t.Error("warm handle answers differ from cold")
 	}
 	if st := warm.Stats(); st.Build.Products != 0 || st.Build.Iterations != 0 {
@@ -318,7 +347,7 @@ func TestPrepareFromIndexWarmStart(t *testing.T) {
 	if _, err := warm.AddEdges(ctx, Edge{From: 3, Label: "b", To: 4}); err != nil {
 		t.Fatal(err)
 	}
-	if !warm.Has(context.Background(), "S", 0, 4) {
+	if !exists(t, warm, 0, 4) {
 		t.Error("warm handle missed incremental consequence")
 	}
 	// CNF identity is enforced.

@@ -1,8 +1,8 @@
 package cfpq_test
 
 // Property test for the source-restricted evaluation at the public API:
-// on random grammars and random graphs, for every backend,
-// Engine.QueryFrom(sources) must equal Engine.Query filtered to pairs
+// on random grammars and random graphs, for every backend, a
+// source-restricted Do must equal the unrestricted Do filtered to pairs
 // leaving the sources — with and without empty-path inclusion.
 
 import (
@@ -45,26 +45,24 @@ func TestQueryFromEqualsFilteredQueryProperty(t *testing.T) {
 			}
 
 			for _, empty := range []bool{false, true} {
-				var opts []cfpq.Option
-				if empty {
-					opts = append(opts, cfpq.WithEmptyPaths())
-				}
-				full, errFull := eng.Query(ctx, g, gram, start, opts...)
-				got, errFrom := eng.QueryFrom(ctx, g, gram, start, sources, opts...)
+				req := cfpq.Request{Graph: g, Grammar: gram, Nonterminal: start, EmptyPaths: empty}
+				full, errFull := eng.Do(ctx, req)
+				req.Sources = sources
+				got, errFrom := eng.Do(ctx, req)
 				if (errFull == nil) != (errFrom == nil) {
-					t.Fatalf("%s trial %d empty=%v: error mismatch: Query=%v QueryFrom=%v",
+					t.Fatalf("%s trial %d empty=%v: error mismatch: full=%v restricted=%v",
 						be, trial, empty, errFull, errFrom)
 				}
 				if errFull != nil {
 					continue // e.g. a grammar the CNF conversion rejects
 				}
 				var want []cfpq.Pair
-				for _, p := range full {
+				for _, p := range full.AllPairs() {
 					if inSrc[p.I] {
 						want = append(want, p)
 					}
 				}
-				if !slices.Equal(got, want) {
+				if got := got.AllPairs(); !slices.Equal(got, want) {
 					t.Fatalf("%s trial %d empty=%v start=%s sources=%v:\n got %v\nwant %v\ngrammar:\n%s",
 						be, trial, empty, start, sources, got, want, gram)
 				}

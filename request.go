@@ -22,9 +22,13 @@ type Request struct {
 	// or Conjunctive when that is set. Exactly one of Nonterminal and Expr
 	// must be set.
 	Nonterminal string `json:"nonterminal,omitempty"`
-	// Expr queries a regular path query expression (see Engine.RPQ for the
-	// syntax); it is compiled to a right-linear grammar and planned like
-	// any other CFG query, so restrictions apply to it too.
+	// Expr queries a regular path query expression, such as
+	//
+	//	subClassOf_r* type (a | b)+ c?
+	//
+	// It is compiled to an NFA, the NFA to a right-linear grammar, and
+	// that grammar is planned like any other CFG query, so restrictions
+	// apply to it too.
 	Expr string `json:"expr,omitempty"`
 
 	// Grammar is the context-free grammar a Nonterminal request evaluates
@@ -74,7 +78,7 @@ type Request struct {
 	Trace bool `json:"trace,omitempty"`
 
 	// Options are per-call evaluation options (iteration schedule, trace,
-	// deprecated backend overrides) applied by Engine.Do.
+	// memory budget) applied by Engine.Do on top of the engine's own.
 	Options []Option `json:"-"`
 }
 

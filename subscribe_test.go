@@ -116,7 +116,7 @@ func TestSubscribeDeltaMatchesDiffProperty(t *testing.T) {
 				}
 				defer s.Close()
 				subs[nt] = s
-				before[nt] = p.Relation(context.Background(), nt)
+				before[nt] = read(t, p, cfpq.Request{Nonterminal: nt}).AllPairs()
 			}
 
 			lastSeq := uint64(0)
@@ -133,7 +133,7 @@ func TestSubscribeDeltaMatchesDiffProperty(t *testing.T) {
 					t.Fatalf("%s trial %d: AddEdges: %v", be, trial, err)
 				}
 				for nt, s := range subs {
-					after := p.Relation(context.Background(), nt)
+					after := read(t, p, cfpq.Request{Nonterminal: nt}).AllPairs()
 					want := diffPairs(before[nt], after)
 					before[nt] = after
 
@@ -223,7 +223,7 @@ func TestSubscribeCancelledRepairExactlyOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer sub.Close()
-			before := p.Relation(context.Background(), "S")
+			before := read(t, p, cfpq.Request{Nonterminal: "S"}).AllPairs()
 
 			cancelled, cancel := context.WithCancel(context.Background())
 			cancel()
@@ -495,7 +495,7 @@ func TestSubscribeTeardown(t *testing.T) {
 	if _, err := p.AddEdges(context.Background(), cfpq.Edge{From: 1, Label: "a", To: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if !p.Has(context.Background(), "S", 0, 2) {
+	if !read(t, p, cfpq.Request{Nonterminal: "S", Sources: []int{0}, Targets: []int{2}, Output: cfpq.OutputExists}).Exists {
 		t.Fatal("closed handle stopped answering")
 	}
 }
@@ -581,7 +581,7 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := p.Relation(context.Background(), "S")
+	before := read(t, p, cfpq.Request{Nonterminal: "S"}).AllPairs()
 	sub, err := p.Subscribe(ctx, cfpq.Request{Nonterminal: "S"})
 	if err != nil {
 		t.Fatal(err)
@@ -638,7 +638,10 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 		defer writers.Done()
 		<-start
 		for i := 0; i < 20; i++ {
-			p.Count(context.Background(), "S")
+			if _, err := p.Do(context.Background(), cfpq.Request{Nonterminal: "S", Output: cfpq.OutputCount}); err != nil {
+				errs <- fmt.Errorf("Do: %w", err)
+				return
+			}
 			if err := p.WriteIndex(io.Discard); err != nil {
 				errs <- fmt.Errorf("WriteIndex: %w", err)
 				return
@@ -663,7 +666,7 @@ func TestSubscribeRaceUpdates(t *testing.T) {
 	if d := sub.Dropped(); d != 0 {
 		t.Fatalf("audited consumer dropped %d batches", d)
 	}
-	want := diffPairs(before, p.Relation(context.Background(), "S"))
+	want := diffPairs(before, read(t, p, cfpq.Request{Nonterminal: "S"}).AllPairs())
 	mu.Lock()
 	defer mu.Unlock()
 	if !equalSets(received, want) {
