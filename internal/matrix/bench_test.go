@@ -73,3 +73,31 @@ func BenchmarkTransitiveClosureSquare(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkSparseAddMulPadded is the padding probe at kernel level: the
+// Dyck chain product A × X on the word a^(n−1−d) b^d at a fixed depth
+// d = 512 across n. A holds the a-edges and X the closed relation of X in
+// the CNF S → A X | A B, X → S B, so the product's flops and output are
+// the same at every n and only the empty rows grow. dst is reused, so
+// after the first iteration the merge adds nothing and B/op is the
+// kernel's own allocation.
+func BenchmarkSparseAddMulPadded(b *testing.B) {
+	const d = 512
+	for _, n := range []int{2_500, 10_000, 40_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			p := n - 1 - d // the first node with an outgoing b-edge
+			a, x, dst := NewSparse(n), NewSparse(n), NewSparse(n)
+			for i := 0; i < p; i++ {
+				a.Set(i, i+1)
+			}
+			for k := 1; k < d; k++ {
+				x.Set(p-k, p+k+1)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst.AddMul(a, x)
+			}
+		})
+	}
+}

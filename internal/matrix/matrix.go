@@ -37,8 +37,9 @@ type Bool interface {
 	// AddMulRows is AddMul restricted to the rows i with rows[i] set: only
 	// those rows of the product are computed and merged, the rest of m is
 	// untouched. len(rows) must equal Dim. This is the kernel of the
-	// source-restricted closure, where only the rows of an active frontier
-	// need to be maintained.
+	// masked semi-naive pass of the source-restricted closure, where only
+	// the rows of an active frontier need to be maintained. Beyond one scan
+	// of the mask, a product pays for the masked rows only.
 	AddMulRows(a, b Bool, rows []bool) bool
 	// Or computes m |= other and reports whether m changed.
 	Or(other Bool) bool

@@ -6,8 +6,9 @@ import (
 	"testing"
 )
 
-// The parallel backends fan AddMul out across worker goroutines writing
-// disjoint row ranges of a shared product buffer. These tests exist to run
+// The parallel backends fan AddMul out across worker goroutines: dense
+// workers write disjoint row ranges of a shared product buffer, sparse
+// workers fill their own pooled scratch. These tests exist to run
 // under `go test -race`: they exercise the internal parallelism (many
 // workers, odd dimensions, aliased operands) and the one cross-matrix
 // concurrency pattern the engine relies on — many AddMuls into distinct
@@ -37,20 +38,34 @@ func parallelBackends() []Backend {
 	}
 }
 
-// TestParallelAddMulMatchesSerial checks the parallel kernels against the
-// serial sparse reference on random inputs, including the m |= m × m
-// aliasing the closure loop performs.
+// TestParallelAddMulMatchesSerial checks the parallel kernels, plain and
+// row-masked, against the serial sparse reference on random inputs,
+// including the m |= m × m aliasing the closure loop performs.
 func TestParallelAddMulMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	ref := Sparse()
 	for trial := 0; trial < 10; trial++ {
-		n := 1 + rng.Intn(130) // straddles the 64-bit word boundary
+		// Straddles the 64-bit word boundary, and spans several of the
+		// sparse kernel's 64-row chunks so SparseParallel(3) runs more than
+		// one worker.
+		n := 1 + rng.Intn(300)
 		nnz := rng.Intn(4 * n)
 		a := randomMatrix(rng, ref, n, nnz)
 		b := randomMatrix(rng, ref, n, nnz)
 		pre := randomMatrix(rng, ref, n, n/2)
+		mask := make([]bool, n)
+		for i := range mask {
+			mask[i] = rng.Intn(3) == 0
+		}
 		want := copyInto(ref, pre)
 		wantChanged := want.AddMul(a, b)
+		wantRows := copyInto(ref, pre)
+		wantRowsChanged := wantRows.AddMulRows(a, b, mask)
+		// Aliased self-multiplication, as in T_A |= T_A × T_A.
+		selfWant := copyInto(ref, pre)
+		selfWant.AddMul(selfWant, selfWant)
+		selfRowsWant := copyInto(ref, pre)
+		selfRowsWant.AddMulRows(selfRowsWant, selfRowsWant, mask)
 		for _, be := range parallelBackends() {
 			got := copyInto(be, pre)
 			changed := got.AddMul(copyInto(be, a), copyInto(be, b))
@@ -58,13 +73,21 @@ func TestParallelAddMulMatchesSerial(t *testing.T) {
 				t.Fatalf("trial %d backend %s: AddMul diverges from serial (changed %v vs %v)",
 					trial, be.Name(), changed, wantChanged)
 			}
-			// Aliased self-multiplication, as in T_A |= T_A × T_A.
-			selfWant := copyInto(ref, pre)
-			selfWant.AddMul(selfWant, selfWant)
+			gotRows := copyInto(be, pre)
+			changed = gotRows.AddMulRows(copyInto(be, a), copyInto(be, b), mask)
+			if changed != wantRowsChanged || !pairsEqual(gotRows, wantRows) {
+				t.Fatalf("trial %d backend %s: AddMulRows diverges from serial (changed %v vs %v)",
+					trial, be.Name(), changed, wantRowsChanged)
+			}
 			selfGot := copyInto(be, pre)
 			selfGot.AddMul(selfGot, selfGot)
 			if !pairsEqual(selfGot, selfWant) {
 				t.Fatalf("trial %d backend %s: aliased AddMul diverges from serial", trial, be.Name())
+			}
+			selfRowsGot := copyInto(be, pre)
+			selfRowsGot.AddMulRows(selfRowsGot, selfRowsGot, mask)
+			if !pairsEqual(selfRowsGot, selfRowsWant) {
+				t.Fatalf("trial %d backend %s: aliased AddMulRows diverges from serial", trial, be.Name())
 			}
 		}
 	}

@@ -11,13 +11,14 @@ import (
 // SparseMatrix is a row-compressed sparse Boolean matrix: each row stores
 // its set column indices as a sorted []int32 (the per-row view of the CSR
 // format the paper's sCPU/sGPU implementations use). Multiplication is
-// row-wise SpGEMM where each product row is the union of the b-rows
-// selected by the a-row, computed by a balanced tree of sorted-list merges
-// (see rowMerger) — O(nnz·log fan-in) per row with no n-sized scratch and
-// no sort, so the cost tracks the output size rather than the dimension.
-// The parallel flavour distributes rows across goroutines exactly the way
-// CUSPARSE distributes them across thread blocks, which is why
-// SparseParallel serves as the paper's sGPU stand-in.
+// Gustavson's row-wise SpGEMM where each product row is the union of the
+// b-rows selected by the a-row, computed by a balanced tree of sorted-list
+// merges (see rowMerger) with no sort. A product costs one scan of the n
+// row headers, plus the merge work of the non-empty a-rows (the flops,
+// times log fan-in), plus the output; its scratch is pooled and sized to
+// that work, never to n. The parallel flavour distributes rows across
+// goroutines exactly the way CUSPARSE distributes them across thread
+// blocks, which is why SparseParallel serves as the paper's sGPU stand-in.
 type SparseMatrix struct {
 	n        int
 	rows     [][]int32
@@ -286,137 +287,130 @@ func differenceSorted(a, b []int32) []int32 {
 // AddMul computes m |= a × b with merge-based row products. All product
 // rows are materialised before merging, so m may alias a or b.
 func (m *SparseMatrix) AddMul(a, b Bool) bool {
-	sa := mustSparse(a, m.n)
-	sb := mustSparse(b, m.n)
-	prod := make([][]int32, m.n)
-	if m.parallel {
-		m.spgemmParallel(sa, sb, prod)
-	} else {
-		var rm rowMerger
-		for i := 0; i < m.n; i++ {
-			prod[i] = rm.productRow(sa, sb, i)
-		}
-	}
-	changed := false
-	for i := range m.rows {
-		if len(prod[i]) == 0 {
-			continue
-		}
-		merged, grew := unionSorted(m.rows[i], prod[i])
-		if grew {
-			m.nnz += len(merged) - len(m.rows[i])
-			m.rows[i] = merged
-			changed = true
-		}
-	}
-	return changed
+	return m.addMulRows(mustSparse(a, m.n), mustSparse(b, m.n), nil)
 }
 
 // AddMulRows is AddMul restricted to the masked rows: only rows i with
-// rows[i] set are multiplied and merged. The row list, scratch space and
-// merge scan are sized to the masked rows, so a small frontier pays for
-// its own rows only (plus one O(n) sweep to collect them).
+// rows[i] set are multiplied and merged. The mask is read in the same scan
+// as the row headers, so beyond that scan a small frontier pays for its own
+// rows only.
 func (m *SparseMatrix) AddMulRows(a, b Bool, rows []bool) bool {
 	if len(rows) != m.n {
 		panic(fmt.Sprintf("matrix: row mask length %d for %d×%d", len(rows), m.n, m.n))
 	}
-	sa := mustSparse(a, m.n)
-	sb := mustSparse(b, m.n)
-	idx := make([]int, 0, len(rows))
-	for i, on := range rows {
-		if on {
-			idx = append(idx, i)
+	return m.addMulRows(mustSparse(a, m.n), mustSparse(b, m.n), rows)
+}
+
+// productGrain is the number of rows a parallel worker claims per fetch;
+// it keeps contention on the shared counter low.
+const productGrain = 64
+
+// mergerPool recycles rowMerger scratch across products, so a closure's
+// steady state reuses the arenas of earlier passes.
+var mergerPool = sync.Pool{New: func() any { return new(rowMerger) }}
+
+// addMulRows is the row-product driver behind AddMul (mask nil) and
+// AddMulRows. Each worker takes a rowMerger from mergerPool and fills it
+// with the product rows of the rows it visits: serially one worker visits
+// [0, n), in parallel workers claim productGrain-row chunks from a shared
+// counter. Only after every worker has finished are the rows merged into
+// m, so m may alias a or b.
+func (m *SparseMatrix) addMulRows(a, b *SparseMatrix, mask []bool) bool {
+	workers := 1
+	if m.parallel {
+		workers = m.workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
 		}
+		workers = min(workers, (m.n+productGrain-1)/productGrain)
 	}
-	if len(idx) == 0 {
-		return false
+	if workers <= 1 {
+		rm := mergerPool.Get().(*rowMerger)
+		rm.products(a, b, mask, 0, m.n)
+		return m.mergeFrom(rm)
 	}
-	prod := make([][]int32, len(idx))
-	if m.parallel && len(idx) > 1 {
-		m.spgemmParallelRows(sa, sb, prod, idx)
-	} else {
-		var rm rowMerger
-		for ri, i := range idx {
-			prod[ri] = rm.productRow(sa, sb, i)
-		}
+	mergers := make([]*rowMerger, workers)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range mergers {
+		rm := mergerPool.Get().(*rowMerger)
+		mergers[w] = rm
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(productGrain)) - productGrain
+				if lo >= m.n {
+					return
+				}
+				rm.products(a, b, mask, lo, min(lo+productGrain, m.n))
+			}
+		}()
 	}
+	wg.Wait()
 	changed := false
-	for ri, i := range idx {
-		if len(prod[ri]) == 0 {
-			continue
-		}
-		merged, grew := unionSorted(m.rows[i], prod[ri])
-		if grew {
-			m.nnz += len(merged) - len(m.rows[i])
-			m.rows[i] = merged
+	for _, rm := range mergers {
+		if m.mergeFrom(rm) {
 			changed = true
 		}
 	}
 	return changed
 }
 
-// spgemmParallelRows distributes the listed rows across workers; prod is
-// indexed like idx.
-func (m *SparseMatrix) spgemmParallelRows(a, b *SparseMatrix, prod [][]int32, idx []int) {
-	workers := m.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(idx) {
-		workers = len(idx)
-	}
-	if workers <= 1 {
-		var rm rowMerger
-		for ri, i := range idx {
-			prod[ri] = rm.productRow(a, b, i)
+// mergeFrom unions rm's product rows into m and returns rm to mergerPool.
+// unionSorted copies into an empty row, so no stored row aliases the
+// pooled arena.
+func (m *SparseMatrix) mergeFrom(rm *rowMerger) bool {
+	changed := false
+	for _, h := range rm.hits {
+		merged, grew := unionSorted(m.rows[h.row], rm.out[h.lo:h.hi])
+		if grew {
+			m.nnz += len(merged) - len(m.rows[h.row])
+			m.rows[h.row] = merged
+			changed = true
 		}
-		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	const grain = 16 // masked row lists are short; keep chunks small
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var rm rowMerger
-			for {
-				lo := int(next.Add(grain)) - grain
-				if lo >= len(idx) {
-					return
-				}
-				hi := lo + grain
-				if hi > len(idx) {
-					hi = len(idx)
-				}
-				for ri := lo; ri < hi; ri++ {
-					prod[ri] = rm.productRow(a, b, idx[ri])
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	rm.out, rm.hits = rm.out[:0], rm.hits[:0]
+	mergerPool.Put(rm)
+	return changed
 }
 
 // rowMerger is the per-worker scratch of the merge-based SpGEMM kernel:
 // two reusable [][]int32 list buffers plus two ping-pong arenas backing
-// the intermediate merge rounds. The zero value is ready to use; capacity
-// grows to the working set of the largest row and is then reused, so the
-// steady-state kernel allocates only the final product rows.
+// the intermediate merge rounds, and the out arena holding the finished
+// product rows that hits locates. Capacity grows to the working set of the
+// largest product and is then reused, so the steady-state kernel allocates
+// only the rows it merges into the destination.
 type rowMerger struct {
 	cand, next     [][]int32
 	arenaA, arenaB []int32
+	out            []int32
+	hits           []rowHit
 }
 
-// productRow computes row i of a×b as a freshly allocated sorted column
-// list (nil when empty). The candidate rows b.rows[k] for k ∈ a.rows[i]
+// rowHit locates product row `row` at out[lo:hi] of its rowMerger. It
+// holds no pointers, so the hit list costs the garbage collector nothing.
+type rowHit struct{ row, lo, hi int }
+
+// products materialises the rows i in [lo, hi) of a×b that the mask
+// keeps and that are non-empty in a.
+func (rm *rowMerger) products(a, b *SparseMatrix, mask []bool, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		if (mask == nil || mask[i]) && len(a.rows[i]) > 0 {
+			rm.productRow(a, b, i)
+		}
+	}
+}
+
+// productRow appends row i of a×b to the out arena and records its hit
+// when it is non-empty. The candidate rows b.rows[k] for k ∈ a.rows[i]
 // are merged pairwise in balanced rounds — a merge tree of depth
 // log₂(fan-in) — so the cost is O(output·log fan-in) with no n-sized
 // scratch and no sort. Each round writes into the arena its inputs do NOT
 // occupy; an odd leftover list is copied into the round's arena rather
 // than carried by reference, so every list read in round r+1 lives in
 // memory written in round r and arena writes never alias arena reads.
-func (rm *rowMerger) productRow(a, b *SparseMatrix, i int) []int32 {
+func (rm *rowMerger) productRow(a, b *SparseMatrix, i int) {
 	rm.cand = rm.cand[:0]
 	for _, k := range a.rows[i] {
 		if row := b.rows[k]; len(row) > 0 {
@@ -424,7 +418,7 @@ func (rm *rowMerger) productRow(a, b *SparseMatrix, i int) []int32 {
 		}
 	}
 	if len(rm.cand) == 0 {
-		return nil
+		return
 	}
 	cur, free := rm.cand, rm.next
 	useA := true
@@ -453,9 +447,9 @@ func (rm *rowMerger) productRow(a, b *SparseMatrix, i int) []int32 {
 		useA = !useA
 	}
 	rm.cand, rm.next = cur, free
-	out := make([]int32, len(cur[0]))
-	copy(out, cur[0])
-	return out
+	lo := len(rm.out)
+	rm.out = append(rm.out, cur[0]...)
+	rm.hits = append(rm.hits, rowHit{row: i, lo: lo, hi: len(rm.out)})
 }
 
 // mergeRowsInto appends the sorted union of x and y (sorted unique
@@ -478,47 +472,6 @@ func mergeRowsInto(dst, x, y []int32) []int32 {
 	}
 	dst = append(dst, x[i:]...)
 	return append(dst, y[j:]...)
-}
-
-func (m *SparseMatrix) spgemmParallel(a, b *SparseMatrix, prod [][]int32) {
-	workers := m.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > m.n {
-		workers = m.n
-	}
-	if workers <= 1 {
-		var rm rowMerger
-		for i := 0; i < m.n; i++ {
-			prod[i] = rm.productRow(a, b, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	const grain = 64 // rows claimed per fetch, keeps contention low
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var rm rowMerger
-			for {
-				lo := int(next.Add(grain)) - grain
-				if lo >= m.n {
-					return
-				}
-				hi := lo + grain
-				if hi > m.n {
-					hi = m.n
-				}
-				for i := lo; i < hi; i++ {
-					prod[i] = rm.productRow(a, b, i)
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // unionSorted merges two sorted unique slices; grew reports whether the
