@@ -190,6 +190,19 @@ func (m *DenseMatrix) Range(fn func(i, j int) bool) {
 	}
 }
 
+// RangeRow iterates the set columns of row i in ascending order.
+func (m *DenseMatrix) RangeRow(i int, fn func(j int) bool) {
+	m.check(i, 0)
+	for wi, w := range m.words[i*m.stride : (i+1)*m.stride] {
+		for w != 0 {
+			if !fn(wi*64 + bits.TrailingZeros64(w)) {
+				return
+			}
+			w &= w - 1
+		}
+	}
+}
+
 // AddMul computes m |= a × b. The product is accumulated into a scratch
 // buffer first, so m may alias a or b.
 func (m *DenseMatrix) AddMul(a, b Bool) bool {

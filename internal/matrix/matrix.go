@@ -61,6 +61,10 @@ type Bool interface {
 	// Range calls fn for every set entry in row-major order; fn returning
 	// false stops the iteration.
 	Range(fn func(i, j int) bool)
+	// RangeRow calls fn for every set column j of row i in ascending
+	// order; fn returning false stops the iteration. It visits row i
+	// only, so a scan over a few rows pays for those rows alone.
+	RangeRow(i int, fn func(j int) bool)
 	// Bytes estimates the heap bytes this matrix currently occupies
 	// (backing storage, not Go object headers beyond the per-row ones).
 	// The closure memory budget sums these estimates to fail fast before

@@ -182,6 +182,39 @@ func TestRangeEarlyStop(t *testing.T) {
 	}
 }
 
+func TestRangeRow(t *testing.T) {
+	for _, be := range allBackends() {
+		// 130 columns span three dense words, so the order check crosses
+		// word boundaries.
+		m := be.NewMatrix(130)
+		for _, j := range []int{129, 3, 64, 0, 63, 65} {
+			m.Set(2, j)
+		}
+		m.Set(1, 5)
+		m.Set(3, 7)
+		var got []int
+		m.RangeRow(2, func(j int) bool {
+			got = append(got, j)
+			return true
+		})
+		if want := []int{0, 3, 63, 64, 65, 129}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: RangeRow order = %v, want %v", be.Name(), got, want)
+		}
+		got = got[:0]
+		m.RangeRow(2, func(j int) bool {
+			got = append(got, j)
+			return len(got) < 3
+		})
+		if want := []int{0, 3, 63}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: RangeRow early stop = %v, want %v", be.Name(), got, want)
+		}
+		m.RangeRow(0, func(j int) bool {
+			t.Errorf("%s: RangeRow on an empty row visited column %d", be.Name(), j)
+			return true
+		})
+	}
+}
+
 func TestCloneIndependence(t *testing.T) {
 	for _, be := range allBackends() {
 		m := be.NewMatrix(4)

@@ -172,6 +172,16 @@ func (m *SparseMatrix) Range(fn func(i, j int) bool) {
 	}
 }
 
+// RangeRow iterates the set columns of row i in ascending order.
+func (m *SparseMatrix) RangeRow(i int, fn func(j int) bool) {
+	m.check(i, 0)
+	for _, j := range m.rows[i] {
+		if !fn(int(j)) {
+			return
+		}
+	}
+}
+
 // Or computes m |= other.
 func (m *SparseMatrix) Or(other Bool) bool {
 	o := mustSparse(other, m.n)

@@ -188,7 +188,7 @@ func Handler(s *Service, opts ...HandlerOption) http.Handler {
 			writeError(w, statusFor(err), err)
 			return
 		}
-		writeJSON(w, http.StatusOK, ans)
+		writeAnswer(w, &ans)
 	})
 	mux.HandleFunc("GET /v1/query", func(w http.ResponseWriter, r *http.Request) {
 		// Legacy route: translate the stringly-typed params into a

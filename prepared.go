@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cfpq/internal/core"
+	"cfpq/internal/matrix"
 )
 
 // Prepared is a compiled grammar bound to a graph with a cached,
@@ -86,6 +88,13 @@ func (p *Prepared) Nodes() int {
 // The returned Result's Pairs/Paths stream a point-in-time snapshot
 // materialised under the read lock, so iterating them needs no lock and
 // cannot deadlock against a concurrent AddEdges.
+//
+// Read cost follows the restriction. A source restriction visits only the
+// named rows, so pairs, count and exists cost O(answer) plus a sort of the
+// sources, independent of the graph's size (adding targets adds one
+// node-long target mask). A target-only restriction is one scan of the
+// relation behind that mask. An unrestricted pairs read copies the
+// relation once into a snapshot sized up front.
 func (p *Prepared) Do(ctx context.Context, req Request) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -223,6 +232,46 @@ func inMask(mask []bool, v int) bool {
 	return mask == nil || (v < len(mask) && mask[v])
 }
 
+// sourceRows returns the in-range rows of a source restriction, sorted and
+// deduplicated: the rows a source-restricted scan visits, in row-major
+// order.
+func sourceRows(n int, sources []int) []int {
+	rows := make([]int, 0, len(sources))
+	for _, v := range sources {
+		if v >= 0 && v < n {
+			rows = append(rows, v)
+		}
+	}
+	slices.Sort(rows)
+	return slices.Compact(rows)
+}
+
+// rangeRestricted calls fn for every entry of m satisfying the restriction,
+// in row-major order, until fn returns false. A source restriction visits
+// its own rows only, so the scan costs what those rows hold; a
+// target-only restriction is one scan of the relation. The n-long target
+// mask is built only when targets are set.
+func rangeRestricted(m matrix.Bool, sources, targets []int, fn func(i, j int) bool) {
+	tgtMask := restrictionMask(m.Dim(), targets)
+	if sources == nil {
+		m.Range(func(i, j int) bool {
+			return !inMask(tgtMask, j) || fn(i, j)
+		})
+		return
+	}
+	var i int
+	stopped := false
+	visit := func(j int) bool {
+		stopped = inMask(tgtMask, j) && !fn(i, j)
+		return !stopped
+	}
+	for _, i = range sourceRows(m.Dim(), sources) {
+		if m.RangeRow(i, visit); stopped {
+			return
+		}
+	}
+}
+
 // scanLocked counts the entries of R_nt satisfying the restriction,
 // stopping early at limit when limit > 0; callers hold p.mu.
 func (p *Prepared) scanLocked(nt string, sources, targets []int, limit int) int {
@@ -233,35 +282,33 @@ func (p *Prepared) scanLocked(nt string, sources, targets []int, limit int) int 
 	if sources == nil && targets == nil && limit == 0 {
 		return p.ix.Count(nt)
 	}
-	srcMask := restrictionMask(p.ix.Nodes(), sources)
-	tgtMask := restrictionMask(p.ix.Nodes(), targets)
 	count := 0
-	m.Range(func(i, j int) bool {
-		if inMask(srcMask, i) && inMask(tgtMask, j) {
-			count++
-			if limit > 0 && count >= limit {
-				return false
-			}
-		}
-		return true
+	rangeRestricted(m, sources, targets, func(_, _ int) bool {
+		count++
+		return limit == 0 || count < limit
 	})
 	return count
 }
 
 // pairsLocked materialises the restricted relation in row-major order,
-// stopping at limit when limit > 0; callers hold p.mu.
+// stopping at limit when limit > 0; callers hold p.mu. The unrestricted
+// snapshot is sized up front from the relation's entry count.
 func (p *Prepared) pairsLocked(nt string, sources, targets []int, limit int) []Pair {
 	m := p.ix.Matrix(nt)
 	if m == nil {
 		return nil
 	}
-	srcMask := restrictionMask(p.ix.Nodes(), sources)
-	tgtMask := restrictionMask(p.ix.Nodes(), targets)
 	var out []Pair
-	m.Range(func(i, j int) bool {
-		if !inMask(srcMask, i) || !inMask(tgtMask, j) {
-			return true
+	if sources == nil && targets == nil {
+		size := m.Nnz()
+		if limit > 0 {
+			size = min(size, limit)
 		}
+		if size > 0 {
+			out = make([]Pair, 0, size)
+		}
+	}
+	rangeRestricted(m, sources, targets, func(i, j int) bool {
 		out = append(out, Pair{I: i, J: j})
 		return limit == 0 || len(out) < limit
 	})
